@@ -143,18 +143,13 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    /// Length-prefixed UTF-8 string; the declared length is validated
-    /// against the remaining bytes before anything is copied.
-    pub fn get_str(&mut self) -> Result<String, WireError> {
+    /// Length-prefixed UTF-8 string, validated in place and borrowed
+    /// from the payload: nothing is copied, so an adversarial length
+    /// can cost no more than the bytes that are really there.
+    pub fn get_str(&mut self) -> Result<&'a str, WireError> {
         let len = self.get_u32()? as usize;
-        if len > self.remaining() {
-            return Err(WireError::Truncated {
-                needed: len,
-                available: self.remaining(),
-            });
-        }
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::InvalidPayload("invalid utf-8"))
+        std::str::from_utf8(bytes).map_err(|_| WireError::InvalidPayload("invalid utf-8"))
     }
 
     /// Sequence count. The pre-allocation hint returned alongside is

@@ -451,8 +451,8 @@ fn decode_body(frame_type: u8, r: &mut ByteReader<'_>) -> Result<Frame, WireErro
             expected: r.get_u64()?,
         },
         tag::ERROR => Frame::Error {
-            code: r.get_str()?,
-            detail: r.get_str()?,
+            code: r.get_str()?.to_owned(),
+            detail: r.get_str()?.to_owned(),
         },
         tag::HEARTBEAT => Frame::Heartbeat {
             nonce: r.get_u64()?,
@@ -461,7 +461,7 @@ fn decode_body(frame_type: u8, r: &mut ByteReader<'_>) -> Result<Frame, WireErro
             nonce: r.get_u64()?,
         },
         tag::GOODBYE => Frame::Goodbye {
-            reason: r.get_str()?,
+            reason: r.get_str()?.to_owned(),
         },
         t if (tag::SPAN_BATCH..=tag::SHUTDOWN_REPLY).contains(&t) => {
             let seq = r.get_u64()?;
@@ -577,11 +577,12 @@ fn decode_span(r: &mut ByteReader<'_>) -> Result<Span, WireError> {
     let pod = r.get_str()?;
     let node = r.get_str()?;
     // Re-intern on the receiving side: symbols are process-local dense
-    // ids and never travel on the wire. Interning also pools the
-    // identifier text, so a decoded span holds no owned strings.
+    // ids and never travel on the wire. The four strings are still
+    // borrowed from the payload here; interning pools the text, so
+    // decoding a span of known identifiers copies and allocates nothing.
     Ok(Span {
-        service: IStr::intern(&service),
-        name: IStr::intern(&name),
+        service: IStr::intern(service),
+        name: IStr::intern(name),
         trace_id,
         span_id,
         parent_span_id,
@@ -589,8 +590,8 @@ fn decode_span(r: &mut ByteReader<'_>) -> Result<Span, WireError> {
         start_us,
         end_us,
         status,
-        pod: IStr::intern(&pod),
-        node: IStr::intern(&node),
+        pod: IStr::intern(pod),
+        node: IStr::intern(node),
     })
 }
 
@@ -617,7 +618,7 @@ fn decode_verdict(r: &mut ByteReader<'_>) -> Result<Verdict, WireError> {
     let (n, hint) = r.get_count()?;
     let mut services = Vec::with_capacity(hint);
     for _ in 0..n {
-        services.push(r.get_str()?);
+        services.push(r.get_str()?.to_owned());
     }
     let cluster = match r.get_u8()? {
         0 => None,
@@ -659,7 +660,7 @@ fn decode_quarantined(r: &mut ByteReader<'_>) -> Result<WireQuarantined, WireErr
     let trace_id = r.get_opt_u64()?;
     let span_count = r.get_u64()?;
     let reason = match r.get_u8()? {
-        0 => QuarantineReason::Assembly(r.get_str()?),
+        0 => QuarantineReason::Assembly(r.get_str()?.to_owned()),
         1 => QuarantineReason::RcaPanic {
             worker: r.get_u64()? as usize,
             attempts: r.get_u32()?,
@@ -808,13 +809,13 @@ fn decode_metrics(r: &mut ByteReader<'_>) -> Result<MetricsSnapshot, WireError> 
     m.worker_panics = Vec::with_capacity(hint);
     for _ in 0..n {
         m.worker_panics
-            .push((r.get_str()?, r.get_u64()? as usize, r.get_u64()?));
+            .push((r.get_str()?.to_owned(), r.get_u64()? as usize, r.get_u64()?));
     }
     let (n, hint) = r.get_count()?;
     m.worker_restarts = Vec::with_capacity(hint);
     for _ in 0..n {
         m.worker_restarts
-            .push((r.get_str()?, r.get_u64()? as usize, r.get_u64()?));
+            .push((r.get_str()?.to_owned(), r.get_u64()? as usize, r.get_u64()?));
     }
     for series in [
         &mut m.spans_rejected_by_reason,
@@ -824,7 +825,7 @@ fn decode_metrics(r: &mut ByteReader<'_>) -> Result<MetricsSnapshot, WireError> 
         let (n, hint) = r.get_count()?;
         *series = Vec::with_capacity(hint);
         for _ in 0..n {
-            series.push((r.get_str()?, r.get_u64()?));
+            series.push((r.get_str()?.to_owned(), r.get_u64()?));
         }
     }
     Ok(m)
@@ -1024,6 +1025,59 @@ mod tests {
                 matches!(err, WireError::Truncated { .. }),
                 "cut at {cut}: {err:?}"
             );
+        }
+    }
+
+    /// Overwrite `payload[at..]` with `patch` and re-stamp the header
+    /// checksum, so the corruption reaches the payload decoder.
+    fn patched(frame: &[u8], at: usize, patch: &[u8]) -> Vec<u8> {
+        let mut bytes = frame.to_vec();
+        bytes[HEADER_LEN + at..HEADER_LEN + at + patch.len()].copy_from_slice(patch);
+        let checksum = frame_checksum(bytes[6], &bytes[HEADER_LEN..]);
+        bytes[12..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn bad_span_strings_are_typed_errors() {
+        // Span strings are borrowed from the payload and validated in
+        // place: each of the four positions must reject invalid UTF-8
+        // and a length that runs past the payload.
+        let frame = encode_frame(
+            &Frame::Data {
+                seq: 1,
+                msg: Msg::SpanBatch {
+                    now_us: 5,
+                    spans: vec![sample_span(1, 2)],
+                },
+            },
+            PROTOCOL_VERSION,
+        );
+        let payload = &frame[HEADER_LEN..];
+        for text in ["checkout", "charge", "pod-3", "node-b"] {
+            let at = payload
+                .windows(text.len())
+                .position(|w| w == text.as_bytes())
+                .expect("string is in the payload");
+            for bad in [&[0xff][..], &[0xc3, b'('], &[0xed, 0xa0, 0x80]] {
+                assert_eq!(
+                    decode_frame_bytes(&patched(&frame, at, bad), DEFAULT_MAX_FRAME_LEN),
+                    Err(WireError::InvalidPayload("invalid utf-8")),
+                    "{text}: {bad:x?}"
+                );
+            }
+            // The u32 length prefix sits right before the text.
+            for len in [payload.len() as u32, u32::MAX] {
+                let err = decode_frame_bytes(
+                    &patched(&frame, at - 4, &len.to_le_bytes()),
+                    DEFAULT_MAX_FRAME_LEN,
+                )
+                .unwrap_err();
+                assert!(
+                    matches!(err, WireError::Truncated { .. }),
+                    "{text} len {len}: {err:?}"
+                );
+            }
         }
     }
 

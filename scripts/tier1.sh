@@ -7,7 +7,8 @@
 # includes every per-crate suite and integration test — nothing is
 # re-run piecemeal), a multi-process loopback smoke test (router + two
 # real shard-server processes over Unix-domain sockets), a budgeted
-# soak-harness smoke replay, and (for the crates added or reworked
+# soak-harness smoke replay, a build and short run of the separate
+# benchmark/ workspace, and (for the crates added or reworked
 # after the seed) formatting, lint and doc gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -185,6 +186,32 @@ if [ "$SCENARIOS" -ne 5 ] || [ "$CONSERVED" -ne 5 ] || [ "$CLEAN_PANICS" -ne 5 ]
 fi
 grep -E '^SOAK_(SCENARIO|RESULT) ' "$SOAK_LOG" | sed 's/^/    /'
 echo "soak smoke: OK"
+
+# ---- Benchmark harness smoke -------------------------------------------
+# benchmark/ is its own workspace, so the build and tests above cannot
+# see a crate API change that breaks it. Build it against this checkout
+# and push 2 s of healthy_flood through a real sleuth-shardd: every
+# verdict must match the in-process reference and every span be
+# accounted for.
+echo "==> benchmark harness: build + 2s healthy_flood smoke"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+if ! timeout 300 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload healthy_flood --seconds 2 --trace 0 \
+    >"$SMOKE_DIR/bench.out" 2>"$SMOKE_DIR/bench.err"; then
+    echo "benchmark smoke: harness failed" >&2
+    tail -n 40 "$SMOKE_DIR/bench.err" >&2
+    exit 1
+fi
+tail -n 1 "$SMOKE_DIR/bench.out" | python3 -c '
+import json, sys
+line = json.loads(sys.stdin.read())
+if line.get("correct") is not True or line.get("failed") != 0:
+    sys.exit("benchmark smoke: result line is not clean: %r" % (
+        {k: line.get(k) for k in ("correct", "attempted", "failed")},))
+print("    attempted=%d failed=0 spans_per_s=%.0f" % (
+    line["attempted"], line["metrics"]["spans_per_s"]["value"]))
+'
+echo "benchmark smoke: OK"
 
 echo "==> BENCH_hotpath.json sanity (parses; carries both hot-path metrics)"
 python3 - <<'EOF'

@@ -20,7 +20,7 @@ use sleuth::synth::chaos::{ChaosEngine, FaultPlan};
 use sleuth::synth::generator::{generate_app, GeneratorConfig};
 use sleuth::synth::workload::CorpusBuilder;
 use sleuth::synth::Simulator;
-use sleuth::trace::{exclusive, formats, Interner, SpanKind, Symbol, Trace};
+use sleuth::trace::{exclusive, formats, IStr, Interner, SpanKind, Symbol, Trace};
 
 /// Simulate one trace of a generated app, under an arbitrary fault plan.
 fn simulate(n_rpcs: usize, app_seed: u64, sim_seed: u64, faulty: bool) -> Trace {
@@ -699,6 +699,16 @@ proptest! {
         let interner = Interner::global();
         prop_assert_eq!(interner.get(&s), Some(sym));
         prop_assert_eq!(interner.resolve(sym), s.as_str());
+        // The pooled handle (first call may miss the thread's L1, the
+        // second hits it) is the global table's answer: same symbol,
+        // same leaked text.
+        for _ in 0..2 {
+            let pooled = IStr::intern(&s);
+            prop_assert_eq!(pooled.sym(), sym);
+            prop_assert!(std::ptr::eq(pooled.as_str(), interner.resolve(sym)));
+        }
+        prop_assert_eq!(IStr::default(), IStr::intern(""));
+        prop_assert!(std::ptr::eq(IStr::default().as_str(), IStr::intern("").as_str()));
     }
 
     /// The interned sorted-merge weighted Jaccard is *bit-identical*
@@ -747,9 +757,14 @@ fn otlp_string(rng: &mut ChaCha8Rng, max_len: usize) -> String {
 /// as `\uXXXX` (surrogate pairs for astral); otherwise only what JSON
 /// requires is escaped and the rest rides raw UTF-8.
 fn emit_json_string(s: &str, escape_all: bool, out: &mut String) {
+    emit_json_string_with(s, |_| escape_all, out);
+}
+
+/// [`emit_json_string`] with the `\uXXXX`-or-raw choice made per char.
+fn emit_json_string_with(s: &str, mut escape: impl FnMut(char) -> bool, out: &mut String) {
     out.push('"');
     for c in s.chars() {
-        if escape_all {
+        if escape(c) {
             let mut units = [0u16; 2];
             for u in c.encode_utf16(&mut units) {
                 out.push_str(&format!("\\u{u:04x}"));
@@ -825,13 +840,18 @@ const OTLP_STATUSES: &[&str] =
 
 /// One adversarial OTLP-JSON span record: valid ids and times, but
 /// hostile strings, quoted-or-bare u64s, shuffled key order, unknown
-/// fields, and randomized escaping.
+/// fields, and randomized escaping — of values and, in about a third
+/// of the records, of a random subset of each key's characters.
 fn otlp_record(rng: &mut ChaCha8Rng) -> String {
     let esc = rng.gen_bool(0.4);
+    // Keys draw from a forked stream: `field` keeps its generator for
+    // the whole function while the values below borrow `rng`.
+    let mut key_rng = ChaCha8Rng::seed_from_u64(rng.next_u64());
+    let esc_keys = key_rng.gen_bool(0.35);
     let mut fields: Vec<String> = Vec::new();
     let mut field = |key: &str, value: String| {
         let mut f = String::new();
-        emit_json_string(key, false, &mut f);
+        emit_json_string_with(key, |_| esc_keys && key_rng.gen_bool(0.3), &mut f);
         f.push(':');
         f.push_str(&value);
         fields.push(f);
@@ -1007,26 +1027,58 @@ proptest! {
 }
 
 /// Interning the same strings concurrently from the data-parallel pool
-/// yields one stable symbol per string: every worker gets the same id
-/// for the same text no matter which worker won the insertion race.
+/// yields one stable handle per string: every worker gets the global
+/// table's symbol and text for the same input, no matter which worker
+/// won the insertion race or what its thread-local L1 held before.
+///
+/// The vocabulary is 64 x 64 equal-length names — several times the
+/// L1's slots (`L1_SLOTS` in `sleuth_trace::intern`), so slots are
+/// shared and evicted constantly — and names in one row or column are
+/// one byte apart, the nearest miss a slot's text check can face.
 #[test]
 fn hotpath_concurrent_interning_is_stable() {
     use sleuth::par::ThreadPool;
-    let words: Vec<String> = (0..64).map(|i| format!("hotpath-conc-{i}")).collect();
-    let pool = ThreadPool::new(8);
-    // Each task interns the full word list starting at a different
-    // rotation, so first-insertion races actually happen.
+    const ALPHABET: &[u8; 64] =
+        b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_";
+    let words: Vec<String> = ALPHABET
+        .iter()
+        .flat_map(|&a| {
+            ALPHABET
+                .iter()
+                .map(move |&b| format!("hotpath-{}-conc-{}", a as char, b as char))
+        })
+        .collect();
+    // Each task walks the full list from a different rotation, odd
+    // tasks backwards, so first-insertion races happen and the tasks a
+    // thread runs back to back evict each other's slots.
+    let order = |r: usize, i: usize| {
+        let at = (i + r * 131) % words.len();
+        if r % 2 == 0 {
+            at
+        } else {
+            words.len() - 1 - at
+        }
+    };
     let rotations: Vec<usize> = (0..32).collect();
-    let per_task: Vec<Vec<Symbol>> = pool.par_map(&rotations, |&r| {
-        (0..words.len())
-            .map(|i| Symbol::intern(&words[(i + r) % words.len()]))
-            .collect()
-    });
-    for (r, syms) in rotations.iter().zip(&per_task) {
-        for (i, sym) in syms.iter().enumerate() {
-            let word = &words[(i + r) % words.len()];
-            assert_eq!(sym.as_str(), word, "symbol resolves to a different string");
-            assert_eq!(*sym, Symbol::intern(word), "same text, different symbol");
+    let global = Interner::global();
+    for threads in [1, 2, 8] {
+        let pool = ThreadPool::new(threads);
+        let per_task: Vec<Vec<IStr>> = pool.par_map(&rotations, |&r| {
+            (0..words.len())
+                .map(|i| IStr::intern(&words[order(r, i)]))
+                .collect()
+        });
+        for (&r, handles) in rotations.iter().zip(&per_task) {
+            for (i, handle) in handles.iter().enumerate() {
+                let word = &words[order(r, i)];
+                assert_eq!(handle.as_str(), word, "handle carries a different string");
+                let sym = global.intern(word);
+                assert_eq!(handle.sym(), sym, "same text, different symbol");
+                assert!(
+                    std::ptr::eq(handle.as_str(), global.resolve(sym)),
+                    "text of {word:?} is not the pooled allocation"
+                );
+            }
         }
     }
 }
