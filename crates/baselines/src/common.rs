@@ -60,17 +60,6 @@ impl OpKey {
         })
     }
 
-    /// Key from strings, interning them as needed.
-    #[deprecated(note = "intern the symbols once (`Symbol::intern`) and use `OpKey::new`, or \
-                         `OpKey::resolve` when absence should mean no-match")]
-    pub fn of_strings(service: &str, name: &str, kind: SpanKind) -> Self {
-        OpKey {
-            service: Symbol::intern(service),
-            name: Symbol::intern(name),
-            kind,
-        }
-    }
-
     /// Service name text.
     pub fn service_str(&self) -> &'static str {
         self.service.as_str()

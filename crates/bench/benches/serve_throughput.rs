@@ -8,7 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use sleuth_core::pipeline::{PipelineConfig, SleuthPipeline};
 use sleuth_gnn::TrainConfig;
-use sleuth_serve::{shard_of, BoundedQueue, ServeConfig, ServeRuntime};
+use sleuth_serve::{owner_of, BoundedQueue, ServeConfig, ServeRuntime};
 use sleuth_synth::presets;
 use sleuth_synth::workload::CorpusBuilder;
 use sleuth_trace::Span;
@@ -40,7 +40,7 @@ fn bench_routing_and_queue(c: &mut Criterion) {
         b.iter(|| {
             spans
                 .iter()
-                .map(|s| shard_of(black_box(s.trace_id), 8))
+                .filter_map(|s| owner_of(black_box(s.trace_id), 0..8))
                 .sum::<usize>()
         })
     });

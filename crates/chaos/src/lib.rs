@@ -61,6 +61,7 @@
 //! exactly-once verdict delivery across restarts).
 
 pub mod malform;
+mod mix;
 pub mod net;
 pub mod plan;
 pub mod proc;

@@ -23,20 +23,7 @@ use std::time::Duration;
 
 use sleuth_wire::{FrameFate, WireFaultInjector};
 
-// Same splitmix64/roll construction as `plan.rs` — duplicated rather
-// than shared because both are private three-liners and the crates'
-// fault domains must not accidentally couple.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn roll(seed: u64, domain: u64, key: u64) -> f64 {
-    let h = splitmix64(seed ^ splitmix64(domain) ^ splitmix64(key));
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
+use crate::mix::roll;
 
 /// Declarative description of what the network should do wrong.
 /// Rates are probabilities in `[0, 1]` rolled per outgoing data

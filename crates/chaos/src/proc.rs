@@ -21,19 +21,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-// Same private splitmix64/roll recipe as `net.rs` — duplicated so the
-// fault domains of the two layers cannot accidentally couple.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn roll(seed: u64, domain: u64, key: u64) -> f64 {
-    let h = splitmix64(seed ^ splitmix64(domain) ^ splitmix64(key));
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
+use crate::mix::{roll, splitmix64};
 
 /// Declarative description of what the *cluster* should do wrong.
 /// Rates are probabilities in `[0, 1]` rolled once per harness step

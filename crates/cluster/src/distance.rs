@@ -117,8 +117,7 @@ pub struct DistanceMatrix {
 }
 
 /// Configures how a [`DistanceMatrix`] is computed (see
-/// [`DistanceMatrix::builder`]). The single entry point replaces the
-/// old `from_sets`/`from_fn`/`*_with` constructor family.
+/// [`DistanceMatrix::builder`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DistanceMatrixBuilder<'p> {
     pool: Option<&'p ThreadPool>,
@@ -153,36 +152,6 @@ impl DistanceMatrix {
     /// Start configuring a distance-matrix computation.
     pub fn builder() -> DistanceMatrixBuilder<'static> {
         DistanceMatrixBuilder::default()
-    }
-
-    /// Compute all pairwise [`trace_distance`]s on the global pool.
-    #[deprecated(note = "use `DistanceMatrix::builder().build_from(sets)`")]
-    pub fn from_sets(sets: &[WeightedTraceSet]) -> Self {
-        Self::builder().build_from(sets)
-    }
-
-    /// Compute all pairwise [`trace_distance`]s on an explicit pool.
-    #[deprecated(note = "use `DistanceMatrix::builder().pool(pool).build_from(sets)`")]
-    pub fn from_sets_with(pool: &ThreadPool, sets: &[WeightedTraceSet]) -> Self {
-        Self::builder().pool(pool).build_from(sets)
-    }
-
-    /// Build from an arbitrary symmetric distance function on the
-    /// global pool.
-    #[deprecated(note = "use `DistanceMatrix::builder().build_from_fn(n, f)`")]
-    pub fn from_fn(n: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
-        Self::builder().build_from_fn(n, f)
-    }
-
-    /// Build from an arbitrary symmetric distance function on an
-    /// explicit pool.
-    #[deprecated(note = "use `DistanceMatrix::builder().pool(pool).build_from_fn(n, f)`")]
-    pub fn from_fn_with(
-        pool: &ThreadPool,
-        n: usize,
-        f: impl Fn(usize, usize) -> f64 + Sync,
-    ) -> Self {
-        Self::builder().pool(pool).build_from_fn(n, f)
     }
 
     /// Number of items.
@@ -280,30 +249,6 @@ mod tests {
         assert_eq!(dm.get(1, 0), 0.0);
         assert_eq!(dm.get(0, 2), 1.0);
         assert_eq!(dm.get(2, 1), 1.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_match_builder() {
-        let sets = vec![
-            set(&[(1, 1.0)]),
-            set(&[(2, 3.0)]),
-            set(&[(1, 1.0), (2, 3.0)]),
-        ];
-        let built = DistanceMatrix::builder().build_from(&sets);
-        assert_eq!(DistanceMatrix::from_sets(&sets), built);
-        let pool = ThreadPool::new(2);
-        assert_eq!(DistanceMatrix::from_sets_with(&pool, &sets), built);
-        assert_eq!(
-            DistanceMatrix::from_fn(sets.len(), |i, j| trace_distance(&sets[i], &sets[j])),
-            built
-        );
-        assert_eq!(
-            DistanceMatrix::from_fn_with(&pool, sets.len(), |i, j| trace_distance(
-                &sets[i], &sets[j]
-            )),
-            built
-        );
     }
 
     #[test]

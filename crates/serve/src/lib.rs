@@ -20,8 +20,10 @@
 //! ```
 //!
 //! * **Ingest front-end** ([`ServeRuntime::submit_batch`]) —
-//!   hash-shards span batches by trace id ([`shard_of`]) so each
-//!   trace is owned by exactly one shard; no cross-shard locking.
+//!   places span batches by trace id with rendezvous hashing
+//!   ([`owner_of`]) so each trace is owned by exactly one shard; no
+//!   cross-shard locking. The wire router places across processes
+//!   with the same function, so a shard's death moves only its keys.
 //! * **Bounded queues with explicit backpressure** ([`BoundedQueue`])
 //!   — per-shard capacity is configurable; a full queue either
 //!   rejects the new batch ([`ShedPolicy::Reject`]) or drops the
@@ -94,5 +96,5 @@ pub use queue::{BoundedQueue, PushOutcome};
 pub use refresh::{BaselineRefresher, P2Quantile};
 pub use registry::{ModelLease, ModelRegistry, ModelVersion};
 pub use runtime::{ServeReport, ServeRuntime, SubmitReport, Verdict};
-pub use shard::shard_of;
+pub use shard::owner_of;
 pub use sync::{lock_or_recover, Backoff};

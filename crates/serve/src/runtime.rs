@@ -20,7 +20,7 @@ use crate::quarantine::{QuarantineReason, QuarantineStore, QuarantinedTrace};
 use crate::queue::{BoundedQueue, PushOutcome};
 use crate::refresh::{run_refresher, BaselineRefresher};
 use crate::registry::{ModelRegistry, ModelVersion};
-use crate::shard::{run_shard, shard_of, ShardCtx, ShardMsg, ShardReport};
+use crate::shard::{owner_of, run_shard, ShardCtx, ShardMsg, ShardReport};
 use crate::sync::{lock_or_recover, Backoff};
 
 pub use crate::degrade::BreakerState;
@@ -263,9 +263,10 @@ impl ServeRuntime {
         })
     }
 
-    /// Hash-shard a span batch by trace id and offer each sub-batch to
-    /// its shard queue under the configured [`ShedPolicy`]. `now_us`
-    /// is the logical observation time driving trace completion.
+    /// Place a span batch by trace id ([`owner_of`] over every shard)
+    /// and offer each sub-batch to its shard queue under the configured
+    /// [`ShedPolicy`]. `now_us` is the logical observation time driving
+    /// trace completion.
     ///
     /// Spans with an inverted interval (`end_us < start_us`) are
     /// refused up front — counted in [`SubmitReport::invalid`] and the
@@ -280,7 +281,8 @@ impl ServeRuntime {
                 report.invalid += 1;
                 continue;
             }
-            routed[shard_of(span.trace_id, self.num_shards)].push(span);
+            let shard = owner_of(span.trace_id, 0..self.num_shards).expect("num_shards >= 1");
+            routed[shard].push(span);
         }
 
         for (shard, batch) in routed.into_iter().enumerate() {
@@ -438,7 +440,7 @@ struct RcaCtx {
     injector: Arc<dyn FaultInjector>,
     policy: ClusterPolicy,
     /// Shard count, for recomputing a poison trace's owning shard
-    /// (`shard_of`) when it is quarantined from the RCA stage.
+    /// (`owner_of`) when it is quarantined from the RCA stage.
     num_shards: usize,
     max_attempts: u32,
     backoff: Backoff,
@@ -484,7 +486,7 @@ impl RcaCtx {
                 worker: self.worker_id,
                 attempts: item.attempts,
             },
-            origin_shard: Some(shard_of(item.trace.trace_id(), self.num_shards)),
+            origin_shard: owner_of(item.trace.trace_id(), 0..self.num_shards),
             trace: Some(item.trace),
         });
     }

@@ -81,28 +81,11 @@ impl BaselineStats {
         self.by_op.get(&key)
     }
 
-    /// Stats for one operation, if observed.
-    #[deprecated(note = "resolve a symbol-keyed `GroupKey` (`GroupKey::of`/`GroupKey::resolve`) \
-                         and use `get_key`")]
-    pub fn get(&self, service: &str, name: &str, kind: sleuth_trace::SpanKind) -> Option<&OperationStats> {
-        self.get_key(GroupKey::resolve(service, name, kind)?)
-    }
-
     /// Median duration for an operation key, falling back to
     /// `default_us` when the operation was never observed (e.g. new
     /// service).
     pub fn median_or_key(&self, key: GroupKey, default_us: u64) -> u64 {
         self.get_key(key).map(|s| s.median_us).unwrap_or(default_us)
-    }
-
-    /// Median duration for an operation, falling back to `default_us`
-    /// when the operation was never observed (e.g. new service).
-    #[deprecated(note = "resolve a symbol-keyed `GroupKey` and use `median_or_key`")]
-    pub fn median_or(&self, service: &str, name: &str, kind: sleuth_trace::SpanKind, default_us: u64) -> u64 {
-        GroupKey::resolve(service, name, kind)
-            .and_then(|k| self.get_key(k))
-            .map(|s| s.median_us)
-            .unwrap_or(default_us)
     }
 
     /// Number of operations summarised.
@@ -214,15 +197,6 @@ mod tests {
         assert_eq!(stats.median_or_key(ghost, 777), 777);
         let cart = GroupKey::resolve("cart", "Add", SpanKind::Server).unwrap();
         assert_ne!(stats.median_or_key(cart, 777), 777);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_string_accessors_still_work() {
-        let stats = BaselineStats::compute(&corpus());
-        assert!(stats.get("cart", "Add", SpanKind::Server).is_some());
-        assert!(stats.get("never-interned", "Add", SpanKind::Server).is_none());
-        assert_eq!(stats.median_or("never-interned2", "Op", SpanKind::Server, 42), 42);
     }
 
     #[test]

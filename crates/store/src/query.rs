@@ -24,9 +24,7 @@ use crate::store::TraceStore;
 #[derive(Debug)]
 pub struct Query<'a> {
     store: &'a TraceStore,
-    /// Outer `None`: no service filter. `Some(None)`: filter on a name
-    /// that was never interned, so nothing can match.
-    service: Option<Option<Symbol>>,
+    service: Option<Symbol>,
     kind: Option<SpanKind>,
     errors_only: bool,
     min_duration_us: Option<u64>,
@@ -50,15 +48,7 @@ impl<'a> Query<'a> {
 
     /// Keep spans from the service with this interned symbol only.
     pub fn service_sym(mut self, service: Symbol) -> Self {
-        self.service = Some(Some(service));
-        self
-    }
-
-    /// Keep spans from this service only.
-    #[deprecated(note = "resolve the symbol once (`Symbol::lookup`/`Symbol::intern`) and use \
-                         `service_sym`; string lookups do a hash per query build")]
-    pub fn service(mut self, service: impl Into<String>) -> Self {
-        self.service = Some(Symbol::lookup(&service.into()));
+        self.service = Some(service);
         self
     }
 
@@ -93,17 +83,10 @@ impl<'a> Query<'a> {
     }
 
     fn matching_rows(&self) -> Vec<usize> {
-        let svc_id = match self.service {
-            Some(Some(sym)) => Some(sym),
-            // A service name that was never interned anywhere cannot
-            // appear in any store.
-            Some(None) => return Vec::new(),
-            None => None,
-        };
         self.store
             .rows()
             .filter(|&r| {
-                if let Some(id) = svc_id {
+                if let Some(id) = self.service {
                     if self.store.service_col()[r] != id {
                         return false;
                     }
@@ -257,14 +240,6 @@ mod tests {
         let cart = Symbol::intern("cart");
         assert_eq!(Query::new(&s).service_sym(cart).count(), 2);
         assert_eq!(Query::new(&s).service_sym(Symbol::intern("nope")).count(), 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_string_service_filter_still_works() {
-        let s = store();
-        assert_eq!(Query::new(&s).service("cart").count(), 2);
-        assert_eq!(Query::new(&s).service("never-interned-svc").count(), 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Cluster failure model: heartbeat-driven peer health, rendezvous
-//! ownership, and the exactly-once verdict ledger.
+//! Cluster failure model: heartbeat-driven peer health and the
+//! exactly-once verdict ledger.
 //!
 //! The router probes every live peer with [`crate::Frame::Heartbeat`]
 //! on a configurable interval. A peer that fails to ack before the
@@ -9,13 +9,10 @@
 //! `interval × (miss_threshold + 1)` without waiting on TCP to notice
 //! (a SIGSTOP'd process keeps its sockets open forever).
 //!
-//! Ownership stays the static [`shard_of`](https://docs.rs/) modulo
-//! while the owner is live, so verdict sets remain bit-identical to
-//! the single-process runtime. Only when the owner is dead does
-//! [`rendezvous_owner`] pick a survivor by highest-random-weight
-//! hashing, which moves exactly the dead shard's keys and nothing
-//! else — a membership change never reshuffles traces between
-//! survivors.
+//! Ownership is always rendezvous hashing over the live peers
+//! ([`sleuth_serve::owner_of`]), so a death moves exactly the dead
+//! shard's keys and nothing else — a membership change never
+//! reshuffles traces between survivors.
 //!
 //! Exactly-once across restarts is enforced by [`VerdictLedger`]: a
 //! bounded insertion-ordered set of trace ids that already produced an
@@ -28,14 +25,6 @@ use std::fmt;
 use std::time::Duration;
 
 use crate::error::WireError;
-
-/// Splitmix64 — the same mixer `shard_of` and the chaos layer use.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Heartbeat-based failure detection settings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,19 +134,6 @@ pub enum PeerHealth {
     /// connection failed and could not be re-established). Its keys
     /// are failed over to survivors.
     Dead,
-}
-
-/// Rendezvous (highest-random-weight) owner for `trace_id` among
-/// `live` shard indices. Deterministic, order-independent, and
-/// minimal-movement: removing one shard reassigns only that shard's
-/// keys; every other key keeps its owner.
-///
-/// Returns `None` when `live` is empty.
-pub fn rendezvous_owner(trace_id: u64, live: &[usize]) -> Option<usize> {
-    live.iter().copied().max_by_key(|&shard| {
-        let w = splitmix64(trace_id ^ splitmix64(shard as u64 ^ 0x7265_6e64_657a_7631));
-        (w, shard)
-    })
 }
 
 /// Bounded insertion-ordered set of trace ids with an accepted
@@ -313,43 +289,6 @@ mod tests {
         // The error converts into the crate-wide WireError::Config.
         let wire: WireError = slow.validate(Duration::from_secs(30)).unwrap_err().into();
         assert!(matches!(wire, WireError::Config(_)));
-    }
-
-    #[test]
-    fn rendezvous_is_deterministic_and_minimal_movement() {
-        let all: Vec<usize> = (0..5).collect();
-        for trace in 0..2000u64 {
-            let owner = rendezvous_owner(trace, &all).unwrap();
-            // Deterministic and order-independent.
-            let mut shuffled = all.clone();
-            shuffled.rotate_left((trace % 5) as usize);
-            assert_eq!(rendezvous_owner(trace, &shuffled), Some(owner));
-
-            // Remove a shard that is NOT the owner: the key must not
-            // move.
-            let dead = (owner + 1) % 5;
-            let survivors: Vec<usize> = all.iter().copied().filter(|&s| s != dead).collect();
-            assert_eq!(rendezvous_owner(trace, &survivors), Some(owner));
-
-            // Remove the owner: the key moves somewhere live.
-            let survivors: Vec<usize> = all.iter().copied().filter(|&s| s != owner).collect();
-            let new_owner = rendezvous_owner(trace, &survivors).unwrap();
-            assert_ne!(new_owner, owner);
-        }
-        assert_eq!(rendezvous_owner(7, &[]), None);
-    }
-
-    #[test]
-    fn rendezvous_spreads_keys() {
-        // Not a perfect-balance test, just "no shard is starved".
-        let live: Vec<usize> = (0..4).collect();
-        let mut counts = [0usize; 4];
-        for trace in 0..4000u64 {
-            counts[rendezvous_owner(trace, &live).unwrap()] += 1;
-        }
-        for (shard, &n) in counts.iter().enumerate() {
-            assert!(n > 400, "shard {shard} starved: {n}/4000");
-        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Everything `sleuth-serve` does in one process — sharded ingest,
 //! RCA, quarantine, metrics — this crate distributes across
-//! processes: a front-end **router** hash-routes span batches (with
-//! the same [`sleuth_serve::shard_of`] used in-process, so the
-//! partition is identical) to N **shard servers**, each wrapping a
+//! processes: a front-end **router** places span batches (with the
+//! same rendezvous hashing, [`sleuth_serve::owner_of`], the runtime
+//! uses in-process) on N **shard servers**, each wrapping a
 //! single-shard [`sleuth_serve::ServeRuntime`] behind a TCP or
 //! Unix-domain socket listener.
 //!
@@ -27,8 +27,8 @@
 //! * [`transport`] — `tcp:HOST:PORT` / `unix:/path` endpoints behind
 //!   one blocking-stream type.
 //! * [`health`] — the cluster failure model: heartbeat-driven
-//!   Live/Suspect/Dead peer state, rendezvous (highest-random-weight)
-//!   ownership for failover, and the exactly-once [`VerdictLedger`].
+//!   Live/Suspect/Dead peer state and the exactly-once
+//!   [`VerdictLedger`].
 //! * [`server`] — [`serve_shard`]: the shard-server loop a
 //!   `sleuth-shardd` process runs, with an acceptor that supersedes a
 //!   dead session when a new router connection arrives.
@@ -63,9 +63,7 @@ pub use frame::{
     WireQuarantined, DEFAULT_MAX_FRAME_LEN, HEADER_LEN, MAGIC, MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
 };
-pub use health::{
-    rendezvous_owner, HealthConfigError, HeartbeatConfig, HeartbeatState, PeerHealth, VerdictLedger,
-};
+pub use health::{HealthConfigError, HeartbeatConfig, HeartbeatState, PeerHealth, VerdictLedger};
 pub use metrics::{WireMetrics, WireMetricsSnapshot};
 pub use router::{RouterClient, RouterConfig, RouterReport};
 pub use server::{serve_shard, ShardServerConfig};

@@ -1,13 +1,12 @@
-//! The front-end router: hash-routes span batches to shard servers
-//! and merges their verdict, quarantine, and metric streams.
+//! The front-end router: places span batches on shard servers and
+//! merges their verdict, quarantine, and metric streams.
 //!
 //! [`RouterClient`] owns one connection (and one reliable-delivery
-//! session) per shard endpoint. Routing uses the *same*
-//! [`shard_of`] as the single-process runtime, so a trace lands on
-//! global shard `shard_of(trace_id, num_peers)` whether the shards
-//! are threads or processes — that identity is what makes the
-//! multi-process verdict set comparable bit-for-bit to the
-//! single-process one.
+//! session) per shard endpoint. A trace goes to [`owner_of`] over the
+//! live peers — the same rendezvous hashing the single-process
+//! runtime places with — so whole traces always land on one shard,
+//! and a peer's death moves only the traces it owned while survivors
+//! keep theirs.
 //!
 //! Threading model: all writes and all protocol decisions happen on
 //! the caller's thread; one background reader thread per peer only
@@ -23,23 +22,24 @@
 //! instead of never. A peer that misses its threshold — or exhausts
 //! reconnects — is declared dead and its *retained traces fail over*:
 //! the router keeps a bounded per-peer buffer of every trace it
-//! routed, and re-routes the dead shard's buffer to survivors chosen
-//! by rendezvous hashing (only the dead shard's keys move). A shard
-//! that comes back as a fresh process gets its session reset and its
-//! buffer replayed. Both replays can re-produce verdicts the dead
-//! incarnation already delivered; the bounded per-trace
-//! [`VerdictLedger`] drops those duplicates, making delivery
-//! exactly-once across restarts. Only when *no* shard is live does a
-//! trace get one synthetic degraded [`Verdict`], so downstream
-//! consumers see an explicit signal instead of silence.
+//! routed, and re-places the dead shard's buffer over the survivors
+//! (only the dead shard's keys move). A shard that comes back as a
+//! fresh process gets its session reset and its buffer replayed. Both
+//! replays can re-produce verdicts the dead incarnation already
+//! delivered; the bounded per-trace [`VerdictLedger`] drops those
+//! duplicates, making delivery exactly-once across restarts. Only when
+//! *no* shard is live does a trace get one synthetic degraded
+//! [`Verdict`] — recorded in the same ledger, so it never also gets a
+//! real one — and downstream consumers see an explicit signal instead
+//! of silence.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sleuth_serve::{shard_of, MetricsSnapshot, ModelVersion, QuarantinedTrace, Verdict};
+use sleuth_serve::{owner_of, Backoff, MetricsSnapshot, ModelVersion, QuarantinedTrace, Verdict};
 use sleuth_trace::Span;
 
 use crate::codec::{FrameReader, FrameWriter, NoWireFaults, WireFaultInjector};
@@ -47,7 +47,7 @@ use crate::error::WireError;
 use crate::frame::{
     Frame, Msg, ShardFinal, DEFAULT_MAX_FRAME_LEN, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
-use crate::health::{rendezvous_owner, HeartbeatConfig, HeartbeatState, PeerHealth, VerdictLedger};
+use crate::health::{HeartbeatConfig, HeartbeatState, PeerHealth, VerdictLedger};
 use crate::metrics::{WireMetrics, WireMetricsSnapshot};
 use crate::session::{RecvChannel, RecvOutcome, SendChannel};
 use crate::transport::{Endpoint, WireStream};
@@ -81,11 +81,6 @@ pub struct RouterConfig {
     pub session_seed: u64,
     /// Heartbeat failure detection (probe interval + miss threshold).
     pub heartbeat: HeartbeatConfig,
-    /// Whether traces owned by a dead shard fail over to survivors
-    /// (rendezvous-hashed) and fresh-process reconnects replay the
-    /// retained buffer. When false the router keeps the pre-failover
-    /// behaviour: dead-peer traces get degraded verdicts only.
-    pub failover_enabled: bool,
     /// Per-peer bound on traces retained for failover/restage replay
     /// (oldest evicted first).
     pub failover_buffer_cap: usize,
@@ -109,7 +104,6 @@ impl RouterConfig {
             resend_interval: Duration::from_millis(100),
             session_seed: 0x5eed,
             heartbeat: HeartbeatConfig::default(),
-            failover_enabled: true,
             failover_buffer_cap: 4096,
             ledger_cap: 65536,
         }
@@ -127,10 +121,8 @@ impl RouterConfig {
         if self.session_cap == 0 {
             return Err(WireError::Config("session_cap must be >= 1".into()));
         }
-        if self.failover_enabled && self.failover_buffer_cap == 0 {
-            return Err(WireError::Config(
-                "failover_buffer_cap must be >= 1 when failover is enabled".into(),
-            ));
+        if self.failover_buffer_cap == 0 {
+            return Err(WireError::Config("failover_buffer_cap must be >= 1".into()));
         }
         if self.ledger_cap == 0 {
             return Err(WireError::Config("ledger_cap must be >= 1".into()));
@@ -235,7 +227,6 @@ struct Peer {
     final_state: Option<Box<ShardFinal>>,
     last_metrics: Option<Box<MetricsSnapshot>>,
     publish_version: Option<u64>,
-    degraded_traces: HashSet<u64>,
     hb: HeartbeatState,
     buffer: FailoverBuffer,
     needs_restage: bool,
@@ -298,7 +289,6 @@ impl RouterClient {
                 final_state: None,
                 last_metrics: None,
                 publish_version: None,
-                degraded_traces: HashSet::new(),
                 hb: HeartbeatState::default(),
                 buffer: FailoverBuffer::new(config.failover_buffer_cap),
                 needs_restage: false,
@@ -363,11 +353,13 @@ impl RouterClient {
         if resume && self.config.reconnect_attempts == 0 {
             return false;
         }
-        let mut backoff = self.config.reconnect_backoff;
+        let backoff = Backoff::new(
+            self.config.reconnect_backoff.as_micros() as u64,
+            self.config.reconnect_backoff_max.as_micros() as u64,
+        );
         for attempt in 0..attempts {
             if attempt > 0 {
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(self.config.reconnect_backoff_max);
+                backoff.sleep_and_advance();
             }
             if let Some(delay) = self.injector.connect_delay(idx, attempt) {
                 std::thread::sleep(delay);
@@ -443,13 +435,13 @@ impl RouterClient {
         let peer = &mut self.peers[idx];
         if resume && !resumed {
             // The server lost the session: a fresh process accepted
-            // the connection. With failover on, reset both channels
-            // and replay the retained trace buffer once the dial
-            // completes — the verdict ledger absorbs any duplicates
-            // the dead incarnation already delivered. Otherwise any
-            // unacked state is unrecoverable and only a pristine
-            // channel may continue safely.
-            if self.config.failover_enabled && !self.closing {
+            // the connection. Reset both channels and replay the
+            // retained trace buffer once the dial completes — the
+            // verdict ledger absorbs any duplicates the dead
+            // incarnation already delivered. While shutting down there
+            // is no restage, so unacked state is unrecoverable and only
+            // a pristine channel may continue safely.
+            if !self.closing {
                 peer.send = SendChannel::new(self.config.session_cap);
                 peer.recv = RecvChannel::new(self.config.session_cap);
                 peer.needs_restage = true;
@@ -546,13 +538,12 @@ impl RouterClient {
         }
     }
 
-    /// Re-route everything a dead peer retained to survivors chosen by
-    /// rendezvous hashing, or synthesize degraded verdicts when no
-    /// shard is left. The drained buffer makes re-entry (a survivor
-    /// dying mid-failover) terminate: each peer's traces move at most
-    /// once per incident.
+    /// Re-place everything a dead peer retained over the survivors, or
+    /// synthesize degraded verdicts when no shard is left. The drained
+    /// buffer makes re-entry (a survivor dying mid-failover) terminate:
+    /// each peer's traces move at most once per incident.
     fn fail_over(&mut self, idx: usize) {
-        if !self.config.failover_enabled || self.closing {
+        if self.closing {
             return;
         }
         let entries = self.peers[idx].buffer.drain_all();
@@ -570,7 +561,7 @@ impl RouterClient {
                     self.metrics.traces_failed_over.inc();
                     self.send_msg(target, Msg::SpanBatch { now_us, spans });
                 }
-                None => self.degrade_trace(idx, trace_id),
+                None => self.degrade_trace(trace_id),
             }
         }
     }
@@ -593,23 +584,13 @@ impl RouterClient {
         self.peers[idx].restaging = false;
     }
 
-    /// Where a trace goes right now: its static owner while that peer
-    /// is live, else a rendezvous-hashed survivor (failover only).
+    /// Where a trace goes right now: its owner among the live peers
+    /// (`None` when no peer is live).
     fn route_of(&self, trace_id: u64) -> Option<usize> {
-        let owner = shard_of(trace_id, self.peers.len());
-        if self.peers[owner].alive {
-            return Some(owner);
-        }
-        if !self.config.failover_enabled {
-            return None;
-        }
-        let live: Vec<usize> = self
-            .peers
-            .iter()
-            .filter(|p| p.alive)
-            .map(|p| p.idx)
-            .collect();
-        rendezvous_owner(trace_id, &live)
+        owner_of(
+            trace_id,
+            self.peers.iter().filter(|p| p.alive).map(|p| p.idx),
+        )
     }
 
     /// Probe live peers whose heartbeat interval has elapsed, and kill
@@ -900,23 +881,21 @@ impl RouterClient {
 
     // ---- Public API --------------------------------------------------
 
-    /// Route one span batch. Whole traces go to
-    /// `shard_of(trace_id, num_shards)` while that peer is live; a
-    /// dead owner's traces fail over to a rendezvous-hashed survivor.
-    /// Only when no shard is live does a trace get counted unroutable
-    /// and one synthetic degraded verdict.
+    /// Route one span batch. Whole traces go to their owner among the
+    /// live peers ([`owner_of`]). Only when no shard is live does a
+    /// trace get counted unroutable and one synthetic degraded verdict.
     pub fn submit_batch(&mut self, spans: Vec<Span>, now_us: u64) -> sleuth_serve::SubmitReport {
         self.last_now_us = self.last_now_us.max(now_us);
         self.pump();
-        let num_shards = self.peers.len();
         let mut report = sleuth_serve::SubmitReport::default();
-        let mut routed: Vec<Vec<Span>> = (0..num_shards).map(|_| Vec::new()).collect();
-        let mut unroutable: Vec<Vec<u64>> = (0..num_shards).map(|_| Vec::new()).collect();
+        let mut routed: Vec<Vec<Span>> = (0..self.peers.len()).map(|_| Vec::new()).collect();
         for span in spans {
-            let owner = shard_of(span.trace_id, num_shards);
             match self.route_of(span.trace_id) {
                 Some(target) => routed[target].push(span),
-                None => unroutable[owner].push(span.trace_id),
+                None => {
+                    report.rejected += 1;
+                    self.degrade_trace(span.trace_id);
+                }
             }
         }
         for (idx, batch) in routed.into_iter().enumerate() {
@@ -924,11 +903,8 @@ impl RouterClient {
                 continue;
             }
             let count = batch.len();
-            let trace_ids: Vec<u64> = batch.iter().map(|s| s.trace_id).collect();
-            if self.config.failover_enabled {
-                for span in &batch {
-                    self.peers[idx].buffer.record(span);
-                }
+            for span in &batch {
+                self.peers[idx].buffer.record(span);
             }
             let sent = self.send_msg(
                 idx,
@@ -937,45 +913,29 @@ impl RouterClient {
                     spans: batch,
                 },
             );
-            if sent || (self.config.failover_enabled && self.peers.iter().any(|p| p.alive)) {
-                // Either staged on a live peer, or the peer died
-                // mid-send and kill_peer already failed its buffer —
-                // these spans included — over to a survivor.
-                self.metrics.spans_routed.add(count as u64);
+            if !sent {
+                // The peer is dead — it died in this send or earlier in
+                // this loop — so its buffer, this batch included, fails
+                // over to the survivors or degrades. A no-op when the
+                // death already drained it.
+                self.fail_over(idx);
+            }
+            if sent || self.peers.iter().any(|p| p.alive) {
                 report.enqueued += count;
             } else {
-                self.mark_unroutable(idx, &trace_ids, &mut report);
+                report.rejected += count;
             }
         }
-        for (idx, ids) in unroutable.into_iter().enumerate() {
-            if ids.is_empty() {
-                continue;
-            }
-            self.mark_unroutable(idx, &ids, &mut report);
-        }
+        self.metrics.spans_routed.add(report.enqueued as u64);
+        self.metrics.spans_unroutable.add(report.rejected as u64);
         report
     }
 
-    fn mark_unroutable(
-        &mut self,
-        idx: usize,
-        trace_ids: &[u64],
-        report: &mut sleuth_serve::SubmitReport,
-    ) {
-        report.rejected += trace_ids.len();
-        self.metrics.spans_unroutable.add(trace_ids.len() as u64);
-        for &trace_id in trace_ids {
-            self.degrade_trace(idx, trace_id);
-        }
-    }
-
     /// One synthetic degraded verdict per trace that no shard can
-    /// answer for — unless a real verdict already covers it.
-    fn degrade_trace(&mut self, idx: usize, trace_id: u64) {
-        if self.ledger.contains(trace_id) {
-            return;
-        }
-        if self.peers[idx].degraded_traces.insert(trace_id) {
+    /// answer for. The ledger makes it exactly-once: a trace that
+    /// already has a verdict, real or degraded, gets no other.
+    fn degrade_trace(&mut self, trace_id: u64) {
+        if self.ledger.insert(trace_id) {
             self.metrics.degraded_unroutable.inc();
             self.verdicts.push(Verdict {
                 trace_id,

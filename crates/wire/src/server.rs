@@ -497,17 +497,20 @@ fn reader_loop(
             }
             Frame::Data { seq, msg } => match session.recv.accept(seq, msg) {
                 RecvOutcome::Deliver(msgs) => {
+                    // The session now counts these messages received,
+                    // so a resumed connection never sees them again:
+                    // apply all of them — the shutdown drain included —
+                    // before a failed write ends the connection. Their
+                    // replies stay staged and replay on resume.
                     let mut shutdown_requested = false;
+                    let mut failed = false;
                     for msg in msgs {
                         match apply_msg(msg, config, pipeline, runtime, &session.send, writer) {
-                            Ok(false) => {}
-                            Ok(true) => shutdown_requested = true,
-                            Err(_) => return ConnEnd::Disconnected,
+                            Ok(shutdown) => shutdown_requested |= shutdown,
+                            Err(_) => failed = true,
                         }
                     }
-                    if send_ack(&session.recv, writer, metrics).is_err() {
-                        return ConnEnd::Disconnected;
-                    }
+                    failed |= send_ack(&session.recv, writer, metrics).is_err();
                     if shutdown_requested && done.is_none() {
                         // Stop polling, drain the runtime, stream the
                         // residue, and reply with the final state.
@@ -546,10 +549,17 @@ fn reader_loop(
                             let _ = lock_or_recover(writer, None).send(&frame);
                         }
                     }
+                    if failed {
+                        return ConnEnd::Disconnected;
+                    }
                 }
                 RecvOutcome::Duplicate => {
                     metrics.duplicates_dropped.inc();
-                    if send_ack(&session.recv, writer, metrics).is_err() {
+                    // Once drained, the router may close as soon as it
+                    // holds the final state: the acks it sent before
+                    // closing are still buffered behind this duplicate,
+                    // so a failed write must not end the read.
+                    if send_ack(&session.recv, writer, metrics).is_err() && done.is_none() {
                         return ConnEnd::Disconnected;
                     }
                 }

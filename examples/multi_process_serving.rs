@@ -7,10 +7,11 @@
 //! ```
 //!
 //! Each shard process fits the same pipeline deterministically from
-//! its CLI seed (no weights cross the wire), the router hash-routes
-//! span batches with the same `shard_of` the in-process runtime uses,
-//! and at shutdown the merged metrics must balance span conservation
-//! across process boundaries — the same audit `scripts/tier1.sh`
+//! its CLI seed (no weights cross the wire), the router places span
+//! batches with the same rendezvous hashing (`owner_of`) the
+//! in-process runtime uses, so a shard's death would move only its
+//! keys, and at shutdown the merged metrics must balance span
+//! conservation across process boundaries — the same audit `scripts/tier1.sh`
 //! enforces in its loopback smoke test.
 //!
 //! Override the shard binary with `SLEUTH_SHARDD=/path/to/sleuth-shardd`

@@ -26,11 +26,10 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 use sleuth::core::pipeline::{PipelineConfig, SleuthPipeline};
 use sleuth::gnn::TrainConfig;
-use sleuth::serve::{NoFaults, ServeConfig};
+use sleuth::serve::{Backoff, NoFaults, ServeConfig};
 use sleuth::synth::presets;
 use sleuth::synth::workload::CorpusBuilder;
 use sleuth::wire::{
@@ -168,6 +167,10 @@ fn supervise(args: &Args) -> ExitCode {
         args.idle_us.to_string(),
     ];
     let metrics = WireMetrics::default();
+    // Bounded exponential backoff: base, 2×, 4×, then 8× base, so a
+    // restart storm can't stretch detection windows unboundedly.
+    let base_us = args.respawn_backoff_ms.saturating_mul(1000);
+    let backoff = Backoff::new(base_us, base_us.saturating_mul(8));
     let mut attempt = 0u32;
     loop {
         let mut child = match std::process::Command::new(&exe).args(&worker_args).spawn() {
@@ -207,11 +210,7 @@ fn supervise(args: &Args) -> ExitCode {
             attempt,
             status.code().map_or_else(|| "signal".to_string(), |c| c.to_string()),
         );
-        // Bounded exponential backoff: base * 2^(attempt-1), capped at
-        // 8x base so a restart storm can't stretch detection windows
-        // unboundedly.
-        let factor = 1u64 << (attempt - 1).min(3);
-        std::thread::sleep(Duration::from_millis(args.respawn_backoff_ms.saturating_mul(factor)));
+        backoff.sleep_and_advance();
     }
 }
 

@@ -11,7 +11,7 @@ use sleuth::chaos::{corrupt_batch, Corruption, FaultPlan, SeededInjector};
 use sleuth::core::pipeline::{AnalyzeOptions, PipelineConfig, SleuthPipeline};
 use sleuth::gnn::TrainConfig;
 use sleuth::serve::{
-    shard_of, FaultInjector, QuarantineReason, RefreshConfig, ResilienceConfig, ServeConfig,
+    owner_of, FaultInjector, QuarantineReason, RefreshConfig, ResilienceConfig, ServeConfig,
     ServeRuntime,
 };
 use sleuth::synth::presets;
@@ -638,7 +638,7 @@ fn quarantine_storm_wraps_buffer_with_exact_accounting() {
             q.reason
         );
         let id = q.trace_id.expect("single-trace batches have a trace id");
-        assert_eq!(origin, shard_of(id, 2), "origin_shard disagrees with routing");
+        assert_eq!(Some(origin), owner_of(id, 0..2), "origin_shard disagrees with routing");
         assert_eq!(q.span_count as u64, span_count);
     }
 
@@ -712,7 +712,7 @@ fn poll_quarantined_respects_bound_and_preserves_origin_during_storm() {
         let origin = q.origin_shard.expect("shard panic entries carry origin_shard");
         assert!(matches!(q.reason, QuarantineReason::ShardPanic { shard } if shard == origin));
         let id = q.trace_id.expect("single-trace batches have a trace id");
-        assert_eq!(origin, shard_of(id, 2), "origin_shard survives a mid-storm drain");
+        assert_eq!(Some(origin), owner_of(id, 0..2), "origin_shard survives a mid-storm drain");
     }
     assert_eq!(
         m.spans_submitted,

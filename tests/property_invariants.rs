@@ -15,7 +15,7 @@ use sleuth::cluster::{
 };
 use sleuth::core::pipeline::{AnalyzeOptions, PipelineConfig, SleuthPipeline};
 use sleuth::gnn::TrainConfig;
-use sleuth::serve::{shard_of, FaultInjector, ResilienceConfig, ServeConfig, ServeRuntime};
+use sleuth::serve::{owner_of, FaultInjector, ResilienceConfig, ServeConfig, ServeRuntime};
 use sleuth::synth::chaos::{ChaosEngine, FaultPlan};
 use sleuth::synth::generator::{generate_app, GeneratorConfig};
 use sleuth::synth::workload::CorpusBuilder;
@@ -144,24 +144,42 @@ proptest! {
         }
     }
 
-    /// Shard routing is a pure, stable function: the same trace id
-    /// always lands on the same in-range shard, regardless of when or
-    /// in what order batches arrive.
+    /// Shard ownership is a pure, stable function of `(trace_id, live
+    /// set)`: the same trace id always lands on the same live shard,
+    /// regardless of when or in what order batches arrive or the live
+    /// set is listed — and a membership change moves only the keys it
+    /// must.
     #[test]
     fn prop_shard_routing_deterministic(
         ids in proptest::collection::vec(0u64..=u64::MAX, 1..64),
-        num_shards in 1usize..12,
+        mask in 1u64..(1 << 12),
     ) {
+        // A random non-empty subset of shards 0..12.
+        let live: Vec<usize> = (0..12).filter(|s| (mask >> s) & 1 == 1).collect();
+        let owner = |id: u64| owner_of(id, live.iter().copied());
         for &id in &ids {
-            let s = shard_of(id, num_shards);
-            prop_assert!(s < num_shards);
-            prop_assert_eq!(s, shard_of(id, num_shards), "routing not stable");
-            prop_assert_eq!(shard_of(id, 1), 0);
+            let s = owner(id).expect("live set is non-empty");
+            prop_assert!(live.contains(&s), "owner {s} is not live");
+            prop_assert_eq!(owner(id), Some(s), "routing not stable");
+            prop_assert_eq!(owner_of(id, live.iter().rev().copied()), Some(s));
+            prop_assert_eq!(owner_of(id, [live[0]]), Some(live[0]));
+            prop_assert_eq!(owner_of(id, []), None);
+            // Minimal movement: removing a non-owner never moves the
+            // key; removing the owner moves it to another live shard.
+            for &gone in &live {
+                let moved = owner_of(id, live.iter().copied().filter(|&x| x != gone));
+                if gone != s {
+                    prop_assert_eq!(moved, Some(s), "non-owner {gone} left and the key moved");
+                } else if let Some(m) = moved {
+                    prop_assert!(m != s && live.contains(&m));
+                } else {
+                    prop_assert_eq!(live.len(), 1);
+                }
+            }
         }
         // Order-independence: routing a reversed stream is identical.
-        let forward: Vec<usize> = ids.iter().map(|&i| shard_of(i, num_shards)).collect();
-        let mut backward: Vec<usize> =
-            ids.iter().rev().map(|&i| shard_of(i, num_shards)).collect();
+        let forward: Vec<Option<usize>> = ids.iter().map(|&i| owner(i)).collect();
+        let mut backward: Vec<Option<usize>> = ids.iter().rev().map(|&i| owner(i)).collect();
         backward.reverse();
         prop_assert_eq!(forward, backward);
     }

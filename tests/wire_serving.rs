@@ -14,6 +14,8 @@
 
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -25,14 +27,14 @@ use sleuth::chaos::{
 };
 use sleuth::core::pipeline::{PipelineConfig, SleuthPipeline};
 use sleuth::gnn::TrainConfig;
-use sleuth::serve::{shard_of, NoFaults, ServeConfig, ServeRuntime, Verdict};
+use sleuth::serve::{owner_of, NoFaults, ServeConfig, ServeRuntime, Verdict};
 use sleuth::synth::presets;
 use sleuth::synth::workload::CorpusBuilder;
 use sleuth::trace::{Span, Trace};
 use sleuth::wire::{
-    encode_frame, serve_shard, Endpoint, Frame, NoWireFaults, RouterClient, RouterConfig,
-    ShardFinal, ShardServerConfig, WireError, WireFaultInjector, WireListener, WireMetrics,
-    WireStream, HEADER_LEN, MAGIC, PROTOCOL_VERSION,
+    encode_frame, serve_shard, Endpoint, Frame, FrameReader, Msg, NoWireFaults, RouterClient,
+    RouterConfig, ShardFinal, ShardServerConfig, WireError, WireFaultInjector, WireListener,
+    WireMetrics, WireStream, DEFAULT_MAX_FRAME_LEN, HEADER_LEN, MAGIC, PROTOCOL_VERSION,
 };
 
 /// One quick-fitted pipeline shared by every test in this file.
@@ -384,6 +386,64 @@ fn malformed_frames_are_rejected_and_server_survives() {
         .expect("shard exits cleanly");
 }
 
+/// The router's connection dying mid-shutdown must not strand a shard.
+/// A shard that cannot ack `Shutdown` still drains, so the resumed
+/// session replays the final state (the router's replayed `Shutdown`
+/// is a duplicate it would otherwise ignore). A drained shard keeps
+/// reading after a failed write, because the router may close as soon
+/// as it holds the final state, its last ack buffered behind a
+/// duplicate the shard can no longer answer.
+#[test]
+fn shard_drains_and_finishes_across_failed_writes() {
+    let endpoint = uds_endpoint("drain");
+    let shard = spawn_shard(&endpoint, 0, Arc::new(NoWireFaults));
+    let Endpoint::Unix(path) = &endpoint else {
+        unreachable!("uds_endpoint is a Unix endpoint")
+    };
+    // Say Hello and read until `until`; then stop reading, so every
+    // shard write from here on fails, and send `then`.
+    let connect = |resume, until: fn(&Frame) -> bool, then: &[Frame]| {
+        let client = UnixStream::connect(path).expect("connect");
+        let timeout = Some(Duration::from_secs(10));
+        client.set_read_timeout(timeout).expect("read timeout");
+        let send = |frame: &Frame| (&client).write_all(&encode_frame(frame, PROTOCOL_VERSION));
+        send(&Frame::Hello {
+            min_version: PROTOCOL_VERSION,
+            max_version: PROTOCOL_VERSION,
+            session_id: 7,
+            resume,
+        })
+        .expect("send Hello");
+        let mut reader = FrameReader::new(&client, DEFAULT_MAX_FRAME_LEN, Arc::default());
+        while !until(&reader.read_frame().expect("shard replies")) {}
+        client.shutdown(Shutdown::Read).expect("stop reading");
+        then.iter().for_each(|frame| send(frame).expect("send"));
+        client
+    };
+    let shutdown = Frame::Data {
+        seq: 1,
+        msg: Msg::Shutdown,
+    };
+    let _first = connect(
+        false,
+        |f| matches!(f, Frame::HelloAck { .. }),
+        std::slice::from_ref(&shutdown),
+    );
+    // `acks_sent` counts the failed attempt to ack Shutdown.
+    wait_for(|| shard.metrics.snapshot().acks_sent == 1, "Shutdown read");
+    let _second = connect(
+        true,
+        |f| matches!(f, Frame::Data { msg, .. } if matches!(msg, Msg::ShutdownReply(_))),
+        &[shutdown, Frame::Ack { upto: 1 }],
+    );
+    wait_for(|| shard.handle.is_finished(), "drained shard finished");
+    shard
+        .handle
+        .join()
+        .expect("shard thread not poisoned")
+        .expect("shard exits cleanly");
+}
+
 fn wait_for(cond: impl Fn() -> bool, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while !cond() {
@@ -410,7 +470,7 @@ fn control_messages_and_quarantine_attribution() {
     // the trace is quarantined by whichever shard owns it.
     let traces = workload(8, 0);
     let poisoned_id = traces[0].trace_id();
-    let expected_shard = shard_of(poisoned_id, 2);
+    let expected_shard = owner_of(poisoned_id, 0..2);
     let mut clock = 0u64;
     for (i, trace) in traces.iter().enumerate() {
         let mut spans: Vec<Span> = trace.spans().to_vec();
@@ -447,7 +507,7 @@ fn control_messages_and_quarantine_attribution() {
     }
     assert_eq!(quarantined.len(), 1, "poisoned trace not quarantined");
     assert_eq!(quarantined[0].trace_id, Some(poisoned_id));
-    assert_eq!(quarantined[0].origin_shard, Some(expected_shard));
+    assert_eq!(quarantined[0].origin_shard, expected_shard);
 
     let report = router.shutdown();
     assert!(report.dead_peers.is_empty());
@@ -460,80 +520,79 @@ fn control_messages_and_quarantine_attribution() {
     }
 }
 
-/// A shard that is down and stays down, with failover *disabled*: its
-/// spans are counted unroutable, each affected trace gets exactly one
-/// degraded verdict, and the live shard keeps working. (With failover
-/// on — the default — the dead shard's traces would be re-routed to
-/// the survivor instead; `failover_rescues_dead_shard_traces` covers
-/// that path.)
+/// No shard left: one endpoint is never bound and the live one is
+/// usurped (its session gets a `Goodbye`) after it has answered the
+/// first half of the traffic. Every span submitted after that is
+/// counted unroutable, each trace without a real verdict gets exactly
+/// one degraded verdict, and no trace gets both.
 #[test]
 fn dead_peer_yields_degraded_verdicts() {
-    let live = uds_endpoint("live");
-    let dead = uds_endpoint("dead"); // never bound
-    let shard = spawn_shard(&live, 0, Arc::new(NoWireFaults));
+    let traces = workload(40, 6);
+    let (first, rest) = traces.split_at(traces.len() / 2);
+    let reference = single_process_reference(first);
+    assert!(!reference.is_empty(), "first half produced no verdicts");
+    // Each trace is submitted twice: verdicts, real or degraded, must
+    // still be one-per-trace, not one-per-batch.
+    let twice = |ts: &[Trace]| 2 * ts.iter().map(|t| t.spans().len() as u64).sum::<u64>();
 
-    let mut config = RouterConfig::new(vec![live, dead]);
+    let live = uds_endpoint("live");
+    let _shard = spawn_shard(&live, 0, Arc::new(NoWireFaults));
+    let mut config = RouterConfig::new(vec![live.clone(), uds_endpoint("dead")]);
     config.reconnect_attempts = 0; // first failure is final
-    config.failover_enabled = false;
     let mut router = RouterClient::connect(config).expect("one live peer is enough");
     assert_eq!(router.dead_peers(), vec![1]);
 
-    let traces = workload(40, 6);
     let mut clock = 0u64;
-    let mut live_spans = 0u64;
-    let mut dead_spans = 0u64;
-    let mut dead_traces = BTreeSet::new();
-    for trace in &traces {
-        let n = trace.spans().len() as u64;
-        if shard_of(trace.trace_id(), 2) == 0 {
-            live_spans += n;
-        } else {
-            dead_spans += n;
-            dead_traces.insert(trace.trace_id());
-        }
-        // Submit each trace twice: degraded verdicts must still be
-        // one-per-trace, not one-per-batch.
-        router.submit_batch(trace.spans().to_vec(), clock);
+    for trace in first.iter().flat_map(|t| [t, t]) {
         router.submit_batch(trace.spans().to_vec(), clock);
         clock += 1_000;
     }
-    assert!(dead_spans > 0, "workload never hit the dead shard");
     router.tick(clock + 2_000_000);
-    let report = router.shutdown();
-
-    assert_eq!(report.dead_peers, vec![1]);
-    assert_eq!(report.wire.spans_unroutable, dead_spans * 2);
-    assert_eq!(report.wire.spans_routed, live_spans * 2);
-    assert_eq!(report.wire.degraded_unroutable, dead_traces.len() as u64);
-
-    let degraded: Vec<&Verdict> = report.verdicts.iter().filter(|v| v.degraded).collect();
-    let degraded_ids: BTreeSet<u64> = degraded.iter().map(|v| v.trace_id).collect();
-    assert_eq!(
-        degraded.len(),
-        dead_traces.len(),
-        "one degraded verdict per trace"
-    );
-    assert!(degraded_ids.is_superset(&dead_traces));
-    for v in &degraded {
-        assert!(v.services.is_empty());
-        assert_eq!(v.model_version.0, 0);
+    let mut verdicts = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while verdicts.len() < reference.len() {
+        assert!(Instant::now() < deadline, "live shard never answered");
+        verdicts.extend(router.poll_verdicts());
+        std::thread::sleep(Duration::from_millis(5));
     }
-    // The live shard still analysed its half (duplicate submissions
-    // dedup inside the runtime, so real verdicts stay one-per-trace).
-    assert!(report.verdicts.iter().any(|v| !v.degraded));
 
-    shard
-        .handle
-        .join()
-        .expect("shard thread not poisoned")
-        .expect("shard exits cleanly");
+    // The usurper's Goodbye leaves no shard live; traces the dead
+    // session retained without a verdict degrade on failover. The live
+    // shard's thread ends up parked on its accept loop, detached.
+    let _usurper = WireStream::connect(&live).expect("usurper connects");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while router.dead_peers() != vec![0, 1] {
+        assert!(Instant::now() < deadline, "router never saw the Goodbye");
+        router.tick(clock);
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for trace in rest.iter().flat_map(|t| [t, t]) {
+        router.submit_batch(trace.spans().to_vec(), clock);
+    }
+    let report = router.shutdown();
+    verdicts.extend(report.verdicts);
+
+    assert_eq!(report.wire.spans_unroutable, twice(rest));
+    assert_eq!(report.wire.spans_routed, twice(first));
+    let (degraded, real): (Vec<Verdict>, Vec<Verdict>) =
+        verdicts.into_iter().partition(|v| v.degraded);
+    assert_eq!(verdict_set(&real), verdict_set(&reference));
+    let ids = |vs: &[Verdict]| vs.iter().map(|v| v.trace_id).collect::<BTreeSet<u64>>();
+    let (real_ids, degraded_ids) = (ids(&real), ids(&degraded));
+    assert_eq!(degraded_ids.len(), degraded.len(), "one per trace");
+    assert_eq!(report.wire.degraded_unroutable, degraded.len() as u64);
+    assert!(real_ids.is_disjoint(&degraded_ids), "real and degraded");
+    let all_ids: BTreeSet<u64> = traces.iter().map(|t| t.trace_id()).collect();
+    assert_eq!(&real_ids | &degraded_ids, all_ids, "a trace got no verdict");
+    assert!(degraded
+        .iter()
+        .all(|v| v.services.is_empty() && v.model_version.0 == 0));
 }
 
 // ---- Cluster self-healing: failover, supersede, process chaos ------
 
-/// Failover keyed at connect time: with the default failover-enabled
-/// config, traces owned by a shard that is down from the start are
-/// re-routed to a rendezvous-chosen survivor instead of being
+/// Failover keyed at connect time: traces a shard that is down from
+/// the start would own are placed on the survivor instead of being
 /// degraded — nothing is unroutable and the verdict set matches the
 /// single-process reference exactly.
 #[test]
@@ -553,7 +612,7 @@ fn failover_rescues_dead_shard_traces() {
     let mut clock = 0u64;
     let mut rerouted = 0u64;
     for trace in &traces {
-        if shard_of(trace.trace_id(), 2) == 1 {
+        if owner_of(trace.trace_id(), 0..2) == Some(1) {
             rerouted += 1;
         }
         let report = router.submit_batch(trace.spans().to_vec(), clock);
@@ -610,7 +669,9 @@ fn superseded_session_fails_over_buffered_traces() {
     // retains traces worth failing over.
     let (first, rest) = traces.split_at(traces.len() / 2);
     assert!(
-        first.iter().any(|t| shard_of(t.trace_id(), 2) == 1),
+        first
+            .iter()
+            .any(|t| owner_of(t.trace_id(), 0..2) == Some(1)),
         "first half never hit shard 1"
     );
     let mut clock = 0u64;
@@ -931,24 +992,15 @@ fn respawned_shardd_replays_and_router_ledger_dedups() {
     }
     router.tick(clock + 2_000_000);
 
-    // Wait until the worker has emitted every verdict: the metrics
-    // reply is ordered after the verdict frames on the same socket, so
-    // once the counter reads full the router's ledger is populated.
+    // Wait until the router holds every verdict, so each one the
+    // respawned worker recomputes must hit the ledger. (The worker's
+    // `verdicts_emitted` counter can run ahead of the verdict frames
+    // it has written.)
+    let mut verdicts = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let emitted: u64 = router
-            .fetch_metrics()
-            .iter()
-            .flatten()
-            .map(|m| m.verdicts_emitted)
-            .sum();
-        if emitted >= expected {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "worker never emitted all verdicts"
-        );
+    while (verdicts.len() as u64) < expected {
+        assert!(Instant::now() < deadline, "router never got all verdicts");
+        verdicts.extend(router.poll_verdicts());
         std::thread::sleep(Duration::from_millis(20));
     }
 
@@ -995,9 +1047,10 @@ fn respawned_shardd_replays_and_router_ledger_dedups() {
         report.wire.verdicts_deduped, expected,
         "replayed verdicts not deduped"
     );
-    assert!(report.verdicts.iter().all(|v| !v.degraded));
-    assert_eq!(verdict_set(&report.verdicts), verdict_set(&reference));
-    assert_eq!(report.verdicts.len(), reference.len());
+    verdicts.extend(report.verdicts);
+    assert!(verdicts.iter().all(|v| !v.degraded));
+    assert_eq!(verdict_set(&verdicts), verdict_set(&reference));
+    assert_eq!(verdicts.len(), reference.len());
     assert!(fleet
         .lines()
         .iter()
