@@ -33,6 +33,10 @@
 //!   fitted anomaly detector, localises root causes via a short-lived
 //!   [`ModelLease`] on the registry's current pipeline, and emits
 //!   version-tagged [`Verdict`]s.
+//! * **Output wake** ([`ServeRuntime::output`], [`OutputHandle`]) —
+//!   every verdict sent and every quarantine entry parked bumps one
+//!   epoch-counted wake, so a consumer blocks until there is output
+//!   instead of polling, without holding the runtime.
 //! * **Model registry + hot swap** ([`ModelRegistry`],
 //!   [`ServeRuntime::publish`]) — versioned `Arc<SleuthPipeline>`
 //!   handles behind an epoch cell; a publish installs the new model
@@ -76,6 +80,7 @@ pub mod config;
 pub mod degrade;
 pub mod inject;
 pub mod metrics;
+pub mod output;
 pub mod quarantine;
 pub mod queue;
 pub mod refresh;
@@ -91,6 +96,7 @@ pub use config::{
 pub use degrade::{BreakerState, DegradeReason};
 pub use inject::{FaultInjector, NoFaults};
 pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use output::OutputHandle;
 pub use quarantine::{QuarantineReason, QuarantineStore, QuarantinedTrace};
 pub use queue::{BoundedQueue, PushOutcome};
 pub use refresh::{BaselineRefresher, P2Quantile};

@@ -17,6 +17,7 @@ use std::sync::{Arc, Mutex};
 use sleuth_trace::{Trace, TraceId};
 
 use crate::metrics::MetricsRegistry;
+use crate::output::OutputWake;
 use crate::sync::lock_or_recover;
 
 /// Why a trace was quarantined.
@@ -81,6 +82,7 @@ pub struct QuarantineStore {
     entries: Mutex<VecDeque<QuarantinedTrace>>,
     capacity: usize,
     metrics: Arc<MetricsRegistry>,
+    wake: Arc<OutputWake>,
 }
 
 impl QuarantineStore {
@@ -91,12 +93,21 @@ impl QuarantineStore {
             entries: Mutex::new(VecDeque::with_capacity(capacity.min(64))),
             capacity,
             metrics,
+            wake: Arc::default(),
         }
+    }
+
+    /// Bump `wake` on every [`QuarantineStore::put`], so a blocked
+    /// [`crate::OutputHandle::wait`] sees the entry.
+    pub(crate) fn with_wake(mut self, wake: Arc<OutputWake>) -> Self {
+        self.wake = wake;
+        self
     }
 
     /// Park `entry`, counting it in `poison_traces` (and its reason
     /// label). When full, the oldest entry is dropped and counted in
-    /// `quarantine_dropped`.
+    /// `quarantine_dropped`. Bumps the runtime's output wake once the
+    /// entry is visible.
     pub fn put(&self, entry: QuarantinedTrace) {
         self.metrics.poison_traces.inc();
         self.metrics.record_quarantined(entry.reason.label());
@@ -106,6 +117,8 @@ impl QuarantineStore {
             self.metrics.quarantine_dropped.inc();
         }
         entries.push_back(entry);
+        drop(entries);
+        self.wake.bump();
     }
 
     /// Take every quarantined entry accumulated since the last call,

@@ -16,6 +16,7 @@ use crate::config::{ClusterPolicy, ConfigError, ServeConfig, ShedPolicy};
 use crate::degrade::{DegradeController, VerdictPath};
 use crate::inject::{FaultInjector, NoFaults};
 use crate::metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
+use crate::output::{OutputHandle, OutputWake};
 use crate::quarantine::{QuarantineReason, QuarantineStore, QuarantinedTrace};
 use crate::queue::{BoundedQueue, PushOutcome};
 use crate::refresh::{run_refresher, BaselineRefresher};
@@ -96,10 +97,9 @@ pub struct ServeRuntime {
     shards: Vec<ShardHandle>,
     rca_queue: Arc<BoundedQueue<RcaItem>>,
     rca_joins: Vec<JoinHandle<()>>,
-    verdict_rx: mpsc::Receiver<Verdict>,
+    output: OutputHandle,
     metrics: Arc<MetricsRegistry>,
     registry: Arc<ModelRegistry>,
-    quarantine: Arc<QuarantineStore>,
     controller: Arc<DegradeController>,
     refresh_queue: Option<Arc<BoundedQueue<Arc<Trace>>>>,
     refresh_join: Option<JoinHandle<()>>,
@@ -137,10 +137,11 @@ impl ServeRuntime {
         let metrics = Arc::new(MetricsRegistry::default());
         let registry = Arc::new(ModelRegistry::with_metrics(Arc::clone(&metrics)));
         registry.publish(Arc::clone(&pipeline));
-        let quarantine = Arc::new(QuarantineStore::new(
-            config.resilience.quarantine_capacity,
-            Arc::clone(&metrics),
-        ));
+        let wake = Arc::new(OutputWake::default());
+        let quarantine = Arc::new(
+            QuarantineStore::new(config.resilience.quarantine_capacity, Arc::clone(&metrics))
+                .with_wake(Arc::clone(&wake)),
+        );
         let controller = Arc::new(DegradeController::new(&config, Arc::clone(&metrics)));
         let backoff = |resilience: &crate::config::ResilienceConfig| {
             Backoff::new(
@@ -228,6 +229,7 @@ impl ServeRuntime {
                             queue: Arc::clone(&rca_queue),
                             registry: Arc::clone(&registry),
                             verdicts: verdict_tx.clone(),
+                            wake: Arc::clone(&wake),
                             metrics: Arc::clone(&metrics),
                             quarantine: Arc::clone(&quarantine),
                             controller: Arc::clone(&controller),
@@ -251,10 +253,9 @@ impl ServeRuntime {
             shards,
             rca_queue,
             rca_joins,
-            verdict_rx,
+            output: OutputHandle::new(verdict_rx, quarantine, wake),
             metrics,
             registry,
-            quarantine,
             controller,
             refresh_queue,
             refresh_join,
@@ -355,14 +356,24 @@ impl ServeRuntime {
 
     /// Verdicts emitted since the last call (non-blocking).
     pub fn poll_verdicts(&self) -> Vec<Verdict> {
-        self.verdict_rx.try_iter().collect()
+        self.output.poll_verdicts()
     }
 
     /// Traces quarantined since the last call (non-blocking): spans
     /// that failed assembly, traces whose RCA panicked on every
     /// allowed attempt, and batches stranded by a shard panic.
     pub fn poll_quarantined(&self) -> Vec<QuarantinedTrace> {
-        self.quarantine.drain()
+        self.output.poll_quarantined()
+    }
+
+    /// A handle onto the same verdicts and quarantine as
+    /// [`ServeRuntime::poll_verdicts`] and
+    /// [`ServeRuntime::poll_quarantined`] that can block for new
+    /// output ([`OutputHandle::wait`]) and is usable without access to
+    /// the runtime — so a consumer can wait while another thread holds
+    /// the runtime for ingest.
+    pub fn output(&self) -> OutputHandle {
+        self.output.clone()
     }
 
     /// Current circuit-breaker position (see [`BreakerState`]).
@@ -416,8 +427,11 @@ impl ServeRuntime {
                 self.metrics.record_worker_panic("rca", i);
             }
         }
-        let verdicts = self.verdict_rx.try_iter().collect();
-        let quarantined = self.quarantine.drain();
+        let verdicts = self.output.poll_verdicts();
+        let quarantined = self.output.poll_quarantined();
+        // Release any consumer blocked in `OutputHandle::wait`: no
+        // output follows the drain above.
+        self.output.wake();
         ServeReport {
             verdicts,
             store,
@@ -434,6 +448,8 @@ struct RcaCtx {
     queue: Arc<BoundedQueue<RcaItem>>,
     registry: Arc<ModelRegistry>,
     verdicts: mpsc::Sender<Verdict>,
+    /// Bumped after every verdict send (see [`OutputHandle::wait`]).
+    wake: Arc<OutputWake>,
     metrics: Arc<MetricsRegistry>,
     quarantine: Arc<QuarantineStore>,
     controller: Arc<DegradeController>,
@@ -462,6 +478,14 @@ impl RcaCtx {
 
     fn retries(&self) -> std::sync::MutexGuard<'_, VecDeque<RcaItem>> {
         lock_or_recover(&self.retries, Some(&self.metrics.lock_poisoned))
+    }
+
+    /// Send `verdict` and wake any blocked output consumer. `false`
+    /// once the runtime has dropped the receiving end.
+    fn emit(&self, verdict: Verdict) -> bool {
+        let sent = self.verdicts.send(verdict).is_ok();
+        self.wake.bump();
+        sent
     }
 
     /// Re-queue a stranded item for another attempt, or quarantine it
@@ -594,7 +618,7 @@ fn rca_loop(ctx: &RcaCtx) {
                         model_version: lease.version(),
                         degraded: false,
                     };
-                    if ctx.verdicts.send(verdict).is_err() {
+                    if !ctx.emit(verdict) {
                         // Runtime dropped the receiver; stop working.
                         ctx.stash().clear();
                         return;
@@ -625,7 +649,7 @@ fn rca_loop(ctx: &RcaCtx) {
                         model_version: lease.version(),
                         degraded: true,
                     };
-                    if ctx.verdicts.send(verdict).is_err() {
+                    if !ctx.emit(verdict) {
                         ctx.stash().clear();
                         return;
                     }

@@ -30,8 +30,10 @@
 //!   Live/Suspect/Dead peer state and the exactly-once
 //!   [`VerdictLedger`].
 //! * [`server`] — [`serve_shard`]: the shard-server loop a
-//!   `sleuth-shardd` process runs, with an acceptor that supersedes a
-//!   dead session when a new router connection arrives.
+//!   `sleuth-shardd` process runs. Nothing in it polls: the acceptor
+//!   blocks in `accept` (a newer router connection supersedes a dead
+//!   session), and the writer blocks on the runtime's output wake, so
+//!   a verdict leaves the process as soon as it is emitted.
 //! * [`router`] — [`RouterClient`]: connects to every shard, routes
 //!   batches, merges verdict/quarantine/metric streams, heals from
 //!   peer death with bounded reconnects, detects dead or stalled

@@ -3,22 +3,29 @@
 //!
 //! A `sleuth-shardd` process calls [`serve_shard`], which:
 //!
-//! * accepts connections through a polling acceptor thread — one
-//!   router at a time owns a shard, but a *newer* connection
-//!   supersedes the current one (the old socket gets a clean
-//!   `Goodbye`) instead of queueing behind a dead session's read
-//!   timeouts,
+//! * accepts connections on an acceptor thread parked in a blocking
+//!   `accept` — one router at a time owns a shard, but a *newer*
+//!   connection supersedes the current one (the old socket gets a
+//!   clean `Goodbye`) instead of queueing behind a dead session's read
+//!   timeouts; when serving ends, one self-connect wakes it to exit,
 //! * performs the `Hello`/`HelloAck` version negotiation and session
 //!   (re)attachment,
 //! * runs a **reader loop** on the accept thread — decoding frames,
 //!   feeding span batches and control messages into the runtime, and
 //!   acking/nacking through the reliability layer — and a **writer
-//!   thread** that polls the runtime for verdicts and quarantined
-//!   traces at a fixed cadence and streams them back as sequenced
-//!   data frames,
-//! * on `Shutdown`, drains the runtime and replies with a final
-//!   [`ShardFinal`] (metrics + store accounting), then lingers until
-//!   the router has acked everything.
+//!   thread** that blocks on the runtime's output wake
+//!   ([`sleuth_serve::OutputHandle::wait`]), so a verdict or
+//!   quarantined trace is streamed back as a sequenced data frame as
+//!   soon as it exists; each wake drains everything pending, so a
+//!   flood still coalesces. The wait is bounded by the ack-stall
+//!   deadline ([`ShardServerConfig::resend_interval`]), so a lost
+//!   frame is replayed even when no further output arrives,
+//! * on `Shutdown`, stops, wakes and joins the writer *before* it
+//!   drains the runtime — the writer takes output without the runtime
+//!   lock, so this ordering is what keeps every verdict ahead of the
+//!   final [`ShardFinal`] reply (metrics + store accounting), the last
+//!   data frame of the session — then lingers until the router has
+//!   acked everything.
 //!
 //! Sessions (sequence state, unacked frames) survive connection
 //! drops: a router reconnecting with `resume: true` gets its session
@@ -32,12 +39,12 @@ use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::{Arc, Mutex};
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use sleuth_core::SleuthPipeline;
 use sleuth_serve::inject::FaultInjector;
-use sleuth_serve::{lock_or_recover, ServeConfig, ServeRuntime};
+use sleuth_serve::{lock_or_recover, OutputHandle, ServeConfig, ServeRuntime};
 
 use crate::codec::{FrameReader, FrameWriter, WireFaultInjector};
 use crate::error::WireError;
@@ -61,15 +68,13 @@ pub struct ShardServerConfig {
     pub serve: ServeConfig,
     /// Maximum accepted frame payload length.
     pub max_frame_len: u32,
-    /// Cadence at which the writer thread polls the runtime for
-    /// verdicts and quarantined traces.
-    pub poll_interval: Duration,
     /// OS read timeout on the connection (bounds how stale the
     /// reader's liveness checks can get).
     pub read_timeout: Duration,
-    /// Writer polls without ack progress before the unacked tail is
-    /// replayed (heals dropped verdict frames).
-    pub resend_stall_polls: u32,
+    /// How long the oldest unacked frame may go without ack progress
+    /// before the writer replays the unacked tail (heals dropped
+    /// verdict frames). Also bounds how long the writer blocks.
+    pub resend_interval: Duration,
     /// Bound on unacked and reorder buffers.
     pub session_cap: usize,
     /// How long to wait for the `Hello` on a fresh connection before
@@ -84,9 +89,8 @@ impl ShardServerConfig {
             shard_id,
             serve,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            poll_interval: Duration::from_millis(2),
             read_timeout: Duration::from_millis(50),
-            resend_stall_polls: 50,
+            resend_interval: Duration::from_millis(100),
             session_cap: 4096,
             handshake_timeout: Duration::from_secs(10),
         }
@@ -99,8 +103,8 @@ impl ShardServerConfig {
         if self.session_cap == 0 {
             return Err(WireError::Config("session_cap must be >= 1".into()));
         }
-        if self.poll_interval.is_zero() {
-            return Err(WireError::Config("poll_interval must be > 0".into()));
+        if self.resend_interval.is_zero() {
+            return Err(WireError::Config("resend_interval must be > 0".into()));
         }
         if self.read_timeout.is_zero() {
             return Err(WireError::Config("read_timeout must be > 0".into()));
@@ -132,20 +136,36 @@ enum ConnEnd {
 
 /// What the acceptor thread hands to the serving loop.
 enum AcceptEvent {
-    /// A new connection, already switched back to blocking mode.
+    /// A new connection.
     Conn(WireStream),
     /// The listener failed; serving cannot continue.
     Err(io::Error),
 }
 
-/// Stage a message into the session's send channel and write it.
+/// Stage messages into the session's send channel, oldest first.
+fn stage_all(
+    send: &Mutex<SendChannel>,
+    msgs: impl IntoIterator<Item = Msg>,
+) -> Result<Vec<Frame>, WireError> {
+    let mut send = lock_or_recover(send, None);
+    msgs.into_iter().map(|msg| send.stage(msg)).collect()
+}
+
+/// Write staged frames in order, stopping at the first failure.
+fn send_frames(writer: &Mutex<FrameWriter<WireStream>>, frames: &[Frame]) -> Result<(), WireError> {
+    let mut w = lock_or_recover(writer, None);
+    frames.iter().try_for_each(|frame| w.send(frame))
+}
+
+/// Stage every message, then write them. Staging comes first so that a
+/// write failure part-way leaves the rest staged for replay on resume
+/// instead of dropped.
 fn stage_and_send(
     send: &Mutex<SendChannel>,
     writer: &Mutex<FrameWriter<WireStream>>,
-    msg: Msg,
+    msgs: impl IntoIterator<Item = Msg>,
 ) -> Result<(), WireError> {
-    let frame = lock_or_recover(send, None).stage(msg)?;
-    lock_or_recover(writer, None).send(&frame)
+    send_frames(writer, &stage_all(send, msgs)?)
 }
 
 /// Replay every unacked frame (reconnect resume or ack stall).
@@ -182,35 +202,29 @@ pub fn serve_shard(
     serve_cfg.num_shards = 1;
     let runtime = ServeRuntime::start_with_injector(pipeline.clone(), serve_cfg, runtime_faults)
         .map_err(|e| WireError::Config(e.to_string()))?;
+    let output = runtime.output();
     let runtime = Arc::new(Mutex::new(Some(runtime)));
     let mut session: Option<Session> = None;
     let mut done: Option<Box<ShardFinal>> = None;
 
-    // A polling acceptor thread feeds connections through a channel so
-    // the reader loop can notice a *newer* connection while the old
+    // An acceptor thread feeds connections through a channel so the
+    // reader loop can notice a *newer* connection while the old
     // session is still draining: accept supersedes instead of queueing
     // behind a dead socket's read timeouts.
-    listener.set_nonblocking(true)?;
     let stop_accept = AtomicBool::new(false);
     let (conn_tx, conn_rx) = std::sync::mpsc::channel::<AcceptEvent>();
-    let accept_poll = config.poll_interval;
     let result = thread::scope(|scope| {
         let acceptor = scope.spawn(|| loop {
+            let accepted = listener.accept();
             if stop_accept.load(Ordering::Relaxed) {
                 return;
             }
-            match listener.accept() {
+            match accepted {
                 Ok(stream) => {
-                    // Accepted sockets can inherit the listener's
-                    // non-blocking mode; the codec needs blocking.
-                    if stream.set_nonblocking(false).is_err() {
-                        continue;
-                    }
                     if conn_tx.send(AcceptEvent::Conn(stream)).is_err() {
                         return;
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(accept_poll),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => {
                     let _ = conn_tx.send(AcceptEvent::Err(e));
@@ -235,6 +249,7 @@ pub fn serve_shard(
                     &config,
                     &pipeline,
                     &runtime,
+                    &output,
                     &mut session,
                     &mut done,
                     &wire_faults,
@@ -246,11 +261,16 @@ pub fn serve_shard(
                 }
             }
         };
+        // The acceptor is parked in `accept`: one self-connect wakes
+        // it to see the stop flag (moot if the listener already failed
+        // and the acceptor returned).
         stop_accept.store(true, Ordering::Relaxed);
+        let _ = listener
+            .local_endpoint()
+            .and_then(|ep| WireStream::connect(&ep));
         let _ = acceptor.join();
         out
     });
-    let _ = listener.set_nonblocking(false);
     result
 }
 
@@ -261,6 +281,7 @@ fn handle_conn(
     config: &ShardServerConfig,
     pipeline: &Arc<SleuthPipeline>,
     runtime: &Arc<Mutex<Option<ServeRuntime>>>,
+    output: &OutputHandle,
     session: &mut Option<Session>,
     done: &mut Option<Box<ShardFinal>>,
     wire_faults: &Arc<dyn WireFaultInjector>,
@@ -343,70 +364,16 @@ fn handle_conn(
         return ConnEnd::Disconnected;
     }
 
-    // ---- Writer thread: poll runtime outputs ------------------------
-    let stop = Arc::new(AtomicBool::new(false));
+    // ---- Writer thread: stream runtime output -----------------------
     let conn_failed = Arc::new(AtomicBool::new(false));
-    let writer_handle = {
-        let stop = Arc::clone(&stop);
-        let conn_failed = Arc::clone(&conn_failed);
-        let runtime = Arc::clone(runtime);
-        let send = Arc::clone(&send);
-        let writer = Arc::clone(&writer);
-        let metrics = Arc::clone(metrics);
-        let poll_interval = config.poll_interval;
-        let resend_stall_polls = config.resend_stall_polls;
-        let shard_id = config.shard_id;
-        thread::spawn(move || {
-            let mut stalled_on: Option<u64> = None;
-            let mut stall_polls: u32 = 0;
-            while !stop.load(Ordering::Relaxed) {
-                thread::sleep(poll_interval);
-                let (verdicts, quarantined) = {
-                    let guard = lock_or_recover(&runtime, None);
-                    match guard.as_ref() {
-                        Some(rt) => (rt.poll_verdicts(), rt.poll_quarantined()),
-                        None => (Vec::new(), Vec::new()),
-                    }
-                };
-                let mut failed = false;
-                for v in verdicts {
-                    if stage_and_send(&send, &writer, Msg::Verdict(v)).is_err() {
-                        failed = true;
-                        break;
-                    }
-                }
-                for q in quarantined {
-                    if failed {
-                        break;
-                    }
-                    let wq = WireQuarantined::from_entry(&q, shard_id);
-                    if stage_and_send(&send, &writer, Msg::Quarantined(wq)).is_err() {
-                        failed = true;
-                    }
-                }
-                // Ack-stall detection: the oldest unacked frame not
-                // moving for `resend_stall_polls` polls means the frame
-                // (or its ack) was lost — replay the tail.
-                if !failed {
-                    let first = lock_or_recover(&send, None).first_unacked();
-                    if first.is_some() && first == stalled_on {
-                        stall_polls += 1;
-                        if stall_polls >= resend_stall_polls {
-                            stall_polls = 0;
-                            failed = replay_unacked(&send, &writer, &metrics).is_err();
-                        }
-                    } else {
-                        stalled_on = first;
-                        stall_polls = 0;
-                    }
-                }
-                if failed {
-                    conn_failed.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-        })
-    };
+    let mut out_writer = OutputWriter::spawn(
+        output.clone(),
+        send,
+        Arc::clone(&writer),
+        Arc::clone(&conn_failed),
+        Arc::clone(metrics),
+        config,
+    );
 
     // ---- Reader loop ------------------------------------------------
     let end = reader_loop(
@@ -420,11 +387,110 @@ fn handle_conn(
         &writer,
         &conn_failed,
         metrics,
-        &stop,
+        &mut out_writer,
     );
-    stop.store(true, Ordering::Relaxed);
-    let _ = writer_handle.join();
+    out_writer.stop();
     end
+}
+
+/// A connection's writer thread: streams the runtime's verdicts and
+/// quarantined traces as sequenced data frames, and replays the
+/// unacked tail on an ack stall.
+struct OutputWriter {
+    stop: Arc<AtomicBool>,
+    output: OutputHandle,
+    join: Option<JoinHandle<()>>,
+}
+
+impl OutputWriter {
+    fn spawn(
+        output: OutputHandle,
+        send: Arc<Mutex<SendChannel>>,
+        writer: Arc<Mutex<FrameWriter<WireStream>>>,
+        conn_failed: Arc<AtomicBool>,
+        metrics: Arc<WireMetrics>,
+        config: &ShardServerConfig,
+    ) -> Self {
+        let stop = Arc::new(AtomicBool::new(false));
+        let (shard_id, resend_interval) = (config.shard_id, config.resend_interval);
+        let join = thread::spawn({
+            let stop = Arc::clone(&stop);
+            let output = output.clone();
+            move || {
+                let run = write_output(
+                    output,
+                    &stop,
+                    &send,
+                    &writer,
+                    &metrics,
+                    shard_id,
+                    resend_interval,
+                );
+                if run.is_err() {
+                    conn_failed.store(true, Ordering::Relaxed);
+                }
+            }
+        });
+        OutputWriter {
+            stop,
+            output,
+            join: Some(join),
+        }
+    }
+
+    /// Stop the writer, wake it, and wait for it to exit: once this
+    /// returns, nothing the writer drained is still unstaged.
+    /// Idempotent.
+    fn stop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        self.output.wake();
+        if let Some(join) = self.join.take() {
+            let _ = join.join();
+        }
+    }
+}
+
+/// The writer thread's loop: block on the runtime's output wake, stage
+/// and send everything pending, and watch for an ack stall.
+fn write_output(
+    mut output: OutputHandle,
+    stop: &AtomicBool,
+    send: &Mutex<SendChannel>,
+    writer: &Mutex<FrameWriter<WireStream>>,
+    metrics: &WireMetrics,
+    shard_id: usize,
+    resend_interval: Duration,
+) -> Result<(), WireError> {
+    // The oldest unacked frame standing still for `resend_interval`
+    // means the frame (or its ack) was lost: replay the tail. The wait
+    // never outlasts that deadline, so a lost frame is replayed even
+    // when no further output arrives.
+    let mut stalled_on: Option<u64> = None;
+    let mut since = Instant::now();
+    while !stop.load(Ordering::Relaxed) {
+        let timeout = match stalled_on {
+            Some(_) => resend_interval.saturating_sub(since.elapsed()),
+            None => resend_interval,
+        };
+        let (verdicts, quarantined) = output.wait(timeout);
+        let quarantined = quarantined
+            .iter()
+            .map(|q| Msg::Quarantined(WireQuarantined::from_entry(q, shard_id)));
+        stage_and_send(
+            send,
+            writer,
+            verdicts.into_iter().map(Msg::Verdict).chain(quarantined),
+        )?;
+        let first = lock_or_recover(send, None).first_unacked();
+        if first != stalled_on {
+            stalled_on = first;
+            since = Instant::now();
+        } else if first.is_some() && since.elapsed() >= resend_interval {
+            replay_unacked(send, writer, metrics)?;
+            since = Instant::now();
+        }
+    }
+    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -439,7 +505,7 @@ fn reader_loop(
     writer: &Arc<Mutex<FrameWriter<WireStream>>>,
     conn_failed: &AtomicBool,
     metrics: &Arc<WireMetrics>,
-    stop: &AtomicBool,
+    out_writer: &mut OutputWriter,
 ) -> ConnEnd {
     loop {
         // Checked on *every* iteration (not just read timeouts), so a
@@ -512,9 +578,13 @@ fn reader_loop(
                     }
                     failed |= send_ack(&session.recv, writer, metrics).is_err();
                     if shutdown_requested && done.is_none() {
-                        // Stop polling, drain the runtime, stream the
-                        // residue, and reply with the final state.
-                        stop.store(true, Ordering::Relaxed);
+                        // Join the writer *before* draining: it takes
+                        // output without the runtime lock, so a live
+                        // writer could stage drained verdicts after
+                        // `ShutdownReply`. Then drain the runtime,
+                        // stream the residue, and reply with the final
+                        // state — the last data frame of the session.
+                        out_writer.stop();
                         let report = {
                             let mut guard = lock_or_recover(runtime, None);
                             guard.take().map(|rt| rt.shutdown())
@@ -539,15 +609,12 @@ fn reader_loop(
                         }
                         tail.push(Msg::ShutdownReply(final_state.clone()));
                         *done = Some(final_state);
-                        for msg in tail {
-                            // Staging must succeed; a write failure is
-                            // healed by resume + replay on reconnect.
-                            let frame = match lock_or_recover(&session.send, None).stage(msg) {
-                                Ok(frame) => frame,
-                                Err(_) => return ConnEnd::Disconnected,
-                            };
-                            let _ = lock_or_recover(writer, None).send(&frame);
-                        }
+                        // Staging must succeed; a write failure is
+                        // healed by resume + replay on reconnect.
+                        let Ok(frames) = stage_all(&session.send, tail) else {
+                            return ConnEnd::Disconnected;
+                        };
+                        let _ = send_frames(writer, &frames);
                     }
                     if failed {
                         return ConnEnd::Disconnected;
@@ -636,20 +703,20 @@ fn apply_msg(
             // the version and exercises the registry drain.
             let version = rt.publish(Arc::clone(pipeline));
             drop(guard);
-            stage_and_send(send, writer, Msg::PublishReply { version: version.0 })?;
+            stage_and_send(send, writer, [Msg::PublishReply { version: version.0 }])?;
         }
         Msg::MetricsRequest => {
             let snapshot = rt.metrics().snapshot();
             drop(guard);
-            stage_and_send(send, writer, Msg::MetricsReply(Box::new(snapshot)))?;
+            stage_and_send(send, writer, [Msg::MetricsReply(Box::new(snapshot))])?;
         }
         Msg::QuarantineDrain => {
             let entries = rt.poll_quarantined();
             drop(guard);
-            for q in entries {
-                let wq = WireQuarantined::from_entry(&q, config.shard_id);
-                stage_and_send(send, writer, Msg::Quarantined(wq))?;
-            }
+            let msgs = entries
+                .iter()
+                .map(|q| Msg::Quarantined(WireQuarantined::from_entry(q, config.shard_id)));
+            stage_and_send(send, writer, msgs)?;
         }
         Msg::Shutdown => return Ok(true),
         // Shard-bound streams never carry these; ignore.

@@ -97,17 +97,6 @@ impl WireListener {
         }
     }
 
-    /// Toggle non-blocking accepts. A polling acceptor thread uses
-    /// this so it can notice a stop flag between `accept` attempts
-    /// instead of parking in the kernel forever.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match self {
-            WireListener::Tcp(l) => l.set_nonblocking(nonblocking),
-            #[cfg(unix)]
-            WireListener::Unix(l, _) => l.set_nonblocking(nonblocking),
-        }
-    }
-
     /// The endpoint this listener is bound to (TCP reports the actual
     /// local address, useful after binding port 0).
     pub fn local_endpoint(&self) -> io::Result<Endpoint> {
@@ -159,18 +148,6 @@ impl WireStream {
             WireStream::Tcp(s) => s.set_read_timeout(timeout),
             #[cfg(unix)]
             WireStream::Unix(s) => s.set_read_timeout(timeout),
-        }
-    }
-
-    /// Toggle non-blocking mode. A stream accepted from a
-    /// non-blocking listener inherits that mode on some platforms, so
-    /// the acceptor explicitly switches accepted streams back to
-    /// blocking before handing them to the frame codec.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match self {
-            WireStream::Tcp(s) => s.set_nonblocking(nonblocking),
-            #[cfg(unix)]
-            WireStream::Unix(s) => s.set_nonblocking(nonblocking),
         }
     }
 

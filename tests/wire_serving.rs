@@ -12,12 +12,12 @@
 //! `examples/multi_process_serving.rs` covers the true multi-process
 //! topology.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Write};
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -32,9 +32,10 @@ use sleuth::synth::presets;
 use sleuth::synth::workload::CorpusBuilder;
 use sleuth::trace::{Span, Trace};
 use sleuth::wire::{
-    encode_frame, serve_shard, Endpoint, Frame, FrameReader, Msg, NoWireFaults, RouterClient,
-    RouterConfig, ShardFinal, ShardServerConfig, WireError, WireFaultInjector, WireListener,
-    WireMetrics, WireStream, DEFAULT_MAX_FRAME_LEN, HEADER_LEN, MAGIC, PROTOCOL_VERSION,
+    encode_frame, serve_shard, Endpoint, Frame, FrameFate, FrameReader, Msg, NoWireFaults,
+    RouterClient, RouterConfig, ShardFinal, ShardServerConfig, WireError, WireFaultInjector,
+    WireListener, WireMetrics, WireStream, DEFAULT_MAX_FRAME_LEN, HEADER_LEN, MAGIC,
+    PROTOCOL_VERSION,
 };
 
 /// One quick-fitted pipeline shared by every test in this file.
@@ -437,6 +438,186 @@ fn shard_drains_and_finishes_across_failed_writes() {
         &[shutdown, Frame::Ack { upto: 1 }],
     );
     wait_for(|| shard.handle.is_finished(), "drained shard finished");
+    shard
+        .handle
+        .join()
+        .expect("shard thread not poisoned")
+        .expect("shard exits cleanly");
+}
+
+/// `ShutdownReply` is the last data frame of a drained session. The
+/// span batches, the tick and `Shutdown` arrive back to back, so the
+/// RCA stage is still emitting verdicts when the shard starts its
+/// drain; every one of them must be sequenced before the reply (none
+/// staged after it) and the verdict set must still equal the
+/// single-process reference.
+#[test]
+fn shutdown_reply_is_the_last_data_frame() {
+    let traces = workload(60, 8);
+    let reference = single_process_reference(&traces);
+    let endpoint = uds_endpoint("order");
+    let shard = spawn_shard(&endpoint, 0, Arc::new(NoWireFaults));
+    let Endpoint::Unix(path) = &endpoint else {
+        unreachable!("uds_endpoint is a Unix endpoint")
+    };
+    let client = UnixStream::connect(path).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let send = |frame: &Frame| {
+        (&client)
+            .write_all(&encode_frame(frame, PROTOCOL_VERSION))
+            .expect("send")
+    };
+    send(&Frame::Hello {
+        min_version: PROTOCOL_VERSION,
+        max_version: PROTOCOL_VERSION,
+        session_id: 11,
+        resume: false,
+    });
+    let mut reader = FrameReader::new(&client, DEFAULT_MAX_FRAME_LEN, Arc::default());
+    assert!(matches!(
+        reader.read_frame().expect("shard replies"),
+        Frame::HelloAck { .. }
+    ));
+
+    let mut clock = 0u64;
+    let mut msgs = Vec::new();
+    for trace in &traces {
+        msgs.push(Msg::SpanBatch {
+            now_us: clock,
+            spans: trace.spans().to_vec(),
+        });
+        clock += 1_000;
+    }
+    msgs.push(Msg::Tick {
+        now_us: clock + 2_000_000,
+    });
+    msgs.push(Msg::Shutdown);
+    for (seq, msg) in (1u64..).zip(msgs) {
+        send(&Frame::Data { seq, msg });
+    }
+
+    // Read every data frame, acking as they arrive, until the shard
+    // hangs up once its final state is acked. After the reply only
+    // replays of frames already seen may arrive.
+    let mut data: BTreeMap<u64, Msg> = BTreeMap::new();
+    let mut reply_seq = None;
+    loop {
+        match reader.read_frame() {
+            Ok(Frame::Data { seq, msg }) => {
+                if let Some(reply) = reply_seq {
+                    assert!(
+                        data.contains_key(&seq),
+                        "new data frame {seq} ({msg:?}) after ShutdownReply {reply}"
+                    );
+                }
+                if matches!(msg, Msg::ShutdownReply(_)) {
+                    reply_seq = Some(seq);
+                }
+                data.entry(seq).or_insert(msg);
+                let upto = (1u64..).take_while(|s| data.contains_key(s)).last();
+                if let Some(upto) = upto {
+                    send(&Frame::Ack { upto });
+                }
+            }
+            Ok(_) => {}
+            Err(WireError::Timeout) => panic!("shard went silent before finishing"),
+            Err(e) if e.is_stream_fatal() => break,
+            Err(_) => {}
+        }
+    }
+    let reply_seq = reply_seq.expect("ShutdownReply received");
+    assert_eq!(
+        data.keys().last(),
+        Some(&reply_seq),
+        "ShutdownReply not last"
+    );
+    assert!(
+        data.keys().copied().eq(1..=reply_seq),
+        "data sequence has gaps"
+    );
+    let verdicts: Vec<Verdict> = data
+        .into_values()
+        .filter_map(|msg| match msg {
+            Msg::Verdict(v) => Some(v),
+            _ => None,
+        })
+        .collect();
+    assert!(!reference.is_empty(), "workload produced no verdicts");
+    assert_eq!(verdict_set(&verdicts), verdict_set(&reference));
+    assert_eq!(verdicts.len(), reference.len(), "duplicate verdicts");
+    let final_state = shard
+        .handle
+        .join()
+        .expect("shard thread not poisoned")
+        .expect("shard exits cleanly");
+    assert_conservation(&final_state.metrics);
+}
+
+/// Drops the shard's first outgoing data frame, once.
+#[derive(Default)]
+struct DropFirstFrame {
+    dropped: AtomicBool,
+}
+
+impl WireFaultInjector for DropFirstFrame {
+    fn frame_fate(&self, _peer: usize, _counter: u64) -> FrameFate {
+        if self.dropped.swap(true, Ordering::SeqCst) {
+            FrameFate::Deliver
+        } else {
+            FrameFate::Drop
+        }
+    }
+}
+
+/// A lost verdict frame is replayed by the shard's ack-stall watch even
+/// when nothing follows it: the router sends no further traffic that
+/// could produce output (and so no later frame whose gap would draw a
+/// `Nack`), so only a writer that wakes on its stall deadline — not
+/// just on new output — recovers the verdict.
+#[test]
+fn lost_verdict_frame_is_replayed_with_no_later_traffic() {
+    let traces = workload(60, 8);
+    let reference = single_process_reference(&traces);
+    let expected = reference.first().expect("workload produced verdicts");
+    let trace = traces
+        .iter()
+        .find(|t| t.trace_id() == expected.trace_id)
+        .expect("verdict names a submitted trace");
+
+    let endpoint = uds_endpoint("stall");
+    let injector = Arc::new(DropFirstFrame::default());
+    let shard = spawn_shard(&endpoint, 0, Arc::clone(&injector) as _);
+    let mut router =
+        RouterClient::connect(RouterConfig::new(vec![endpoint])).expect("router connects");
+    // The only traffic: one anomalous trace and the tick that closes
+    // it. Its verdict is the shard's first data frame, and is dropped.
+    router.submit_batch(trace.spans().to_vec(), 0);
+    router.tick(2_000_000);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let verdicts = loop {
+        let verdicts = router.poll_verdicts();
+        if !verdicts.is_empty() {
+            break verdicts;
+        }
+        assert!(Instant::now() < deadline, "lost verdict never replayed");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(injector.dropped.load(Ordering::SeqCst), "no frame dropped");
+    assert_eq!(
+        verdict_set(&verdicts),
+        verdict_set(std::slice::from_ref(expected))
+    );
+    // The replay is counted just after its write, so the router can
+    // hold the verdict a moment before the count lands.
+    wait_for(
+        || shard.metrics.snapshot().frames_resent >= 1,
+        "the replay counted",
+    );
+
+    let report = router.shutdown();
+    assert!(report.verdicts.is_empty(), "verdict delivered twice");
     shard
         .handle
         .join()
